@@ -11,22 +11,25 @@ This module provides spatial allocation: given a virtual-core request
 (S Slices, B banks) it carves a compact region out of the free tiles,
 preferring tiles adjacent to ones already chosen.
 
-With :data:`repro.perf.FAST` enabled the fabric answers utilization,
-free-count and seed-selection queries from an incrementally maintained
-per-kind free-position index (updated on every allocate/release) in
-O(1)/O(free) instead of rescanning all tiles; the scalar full-scan
-twins remain the reference path, and the index enumerates free
-positions in the exact row-major order the scans produce, so both
-modes are bit-identical.
+The fabric keeps a row-major free bitmask per tile kind plus integer
+free counters, updated in lockstep on every ownership change.  With
+:data:`repro.perf.FAST` enabled, utilization and free counts come from
+the counters and seed selection is a radius sweep over the mask: a
+seed's span is the smallest radius whose Manhattan diamond holds the
+requested free Slices and banks, and in rotated coordinates
+(``u = x + y``, ``v = x - y``) every diamond is an axis-aligned square
+whose count is four prefix-sum lookups.  The scalar twins rescan all
+tiles and grow a region from every free Slice; both modes pick the same
+seed, so placement is bit-identical.  The mask is derived state: it is
+not pickled and is rebuilt from the tiles on unpickling.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import threading
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -45,37 +48,16 @@ class FabricError(RuntimeError):
     """Raised when an allocation request cannot be satisfied."""
 
 
-#: Process-wide cache of all-pairs Manhattan distance matrices, keyed by
-#: fabric geometry.  The matrix depends only on (width, height), so one
-#: copy serves every fabric of that shape and never enters checkpoints.
-_DISTANCE_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
-_DISTANCE_LOCK = threading.Lock()
-
-
-def _distance_matrix(width: int, height: int) -> np.ndarray:
-    """All-pairs Manhattan distances between flat tile indices.
-
-    Flat index ``y * width + x`` matches the row-major order tiles are
-    created in, so gathering rows/columns of this matrix for the free
-    set reproduces the distances the scalar scan computes pairwise.
-    """
-    key = (width, height)
-    with _DISTANCE_LOCK:
-        cached = _DISTANCE_CACHE.get(key)
-        if cached is None:
-            ys, xs = np.divmod(
-                np.arange(width * height, dtype=np.int64), width
-            )
-            cached = np.abs(xs[:, None] - xs[None, :]) + np.abs(
-                ys[:, None] - ys[None, :]
-            )
-            _DISTANCE_CACHE[key] = cached
-        return cached
-
-
 class TileKind(enum.Enum):
     SLICE = "slice"
     L2_BANK = "l2_bank"
+
+
+#: Free-mask bit of each kind.  A tile has one kind, so a mask word is
+#: 0 or one bit, and a sum of words counts free banks in the low 32 bits
+#: and free Slices above them.
+_BIT = {TileKind.SLICE: 1 << 32, TileKind.L2_BANK: 1}
+_BANK_FIELD = (1 << 32) - 1
 
 
 @dataclass
@@ -144,15 +126,6 @@ class Fabric:
         self.cache_params = cache_params
         self._tiles: Dict[Coordinate, Tile] = {}
         self._allocations: Dict[int, Allocation] = {}
-        # Incremental free-position index: one set of coordinates per
-        # tile kind, kept in lockstep with every ownership change, plus
-        # immutable per-kind totals.  The sets are only *consulted*
-        # under perf.FAST; the scalar full-scan paths stay the
-        # reference.
-        self._free_index: Dict[TileKind, Set[Coordinate]] = {
-            TileKind.SLICE: set(),
-            TileKind.L2_BANK: set(),
-        }
         # Sanitizer shadow-recount sampling counter (REPRO_SANITIZE=1).
         self._sanitize_ticks = 0
         self._kind_totals: Dict[TileKind, int] = {
@@ -175,7 +148,6 @@ class Fabric:
                     self._tiles[position] = Tile(
                         kind=TileKind.SLICE, position=position, slice_unit=unit
                     )
-                    self._free_index[TileKind.SLICE].add(position)
                     self._kind_totals[TileKind.SLICE] += 1
                     next_slice += 1
                 else:
@@ -187,9 +159,51 @@ class Fabric:
                     self._tiles[position] = Tile(
                         kind=TileKind.L2_BANK, position=position, bank=bank
                     )
-                    self._free_index[TileKind.L2_BANK].add(position)
                     self._kind_totals[TileKind.L2_BANK] += 1
                     next_bank += 1
+        self._build_index()
+
+    def _build_index(self) -> None:
+        """Derive the free index and the seed-sweep geometry from ``_tiles``.
+
+        ``_free_mask[y * width + x]`` holds the tile's kind bit while it
+        is free and 0 while it is owned; ``_free_count`` holds per-kind
+        totals.  Both are only *consulted* under perf.FAST, the scalar
+        scans stay the reference.  ``_rotated`` maps a flat tile id to
+        its cell on the rotated grid (``u = x + y``,
+        ``v = x - y + height - 1``) and ``_rotated_uv`` holds the
+        cell's prefix-table row offset ``u * (side + 1)`` and column ``v``.
+        """
+        width, height = self.width, self.height
+        side = width + height - 1
+        ys, xs = np.divmod(np.arange(width * height), width)
+        us, vs = xs + ys, xs - ys + height - 1
+        self._rotated = us * side + vs
+        self._rotated_uv = np.stack([us * (side + 1), vs])
+        self._free_mask, self._free_count = self._scan_index()
+
+    def _scan_index(self) -> Tuple[np.ndarray, Dict[TileKind, int]]:
+        """Reference full scan of ``_tiles`` into a fresh mask and counts."""
+        mask = np.zeros(self.width * self.height, dtype=np.int64)
+        for (x, y), tile in self._tiles.items():
+            if tile.is_free:
+                mask[y * self.width + x] = _BIT[tile.kind]
+        counts = {
+            kind: int(np.count_nonzero(mask == bit)) for kind, bit in _BIT.items()
+        }
+        return mask, counts
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The index is a pure function of ``_tiles``; checkpoints carry
+        # only the tiles and ``__setstate__`` rebuilds it bit for bit.
+        state = dict(self.__dict__)
+        for name in ("_free_mask", "_free_count", "_rotated", "_rotated_uv"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._build_index()
 
     @property
     def tiles(self) -> Dict[Coordinate, Tile]:
@@ -205,112 +219,106 @@ class Fabric:
         """How many tiles of ``kind`` the fabric has (free or not)."""
         return self._kind_totals[kind]
 
+    def _check_index(self, site: str) -> None:
+        """Sampled shadow recount of the free index (REPRO_SANITIZE=1)."""
+        self._sanitize_ticks += 1
+        if not sanitize.should_sample(self._sanitize_ticks):
+            return
+        reference, counts = self._scan_index()
+        if counts != self._free_count or not np.array_equal(
+            reference, self._free_mask
+        ):
+            diverged = np.flatnonzero(reference != self._free_mask)
+            sanitize.violation(
+                "shadow-recount",
+                "repro.arch.fabric.Fabric._free_mask",
+                site,
+                f"index diverged from full scan (counters "
+                f"{self._free_count!r}, scan {counts!r}, first diverged "
+                f"tile ids {diverged[:4].tolist()!r})",
+            )
+
     def count_free(self, kind: TileKind) -> int:
         if perf.FAST:
-            count = len(self._free_index[kind])
             if sanitize.ENABLED:
-                self._sanitize_ticks += 1
-                if sanitize.should_sample(self._sanitize_ticks):
-                    reference = sum(
-                        1
-                        for tile in self._tiles.values()
-                        if tile.kind is kind and tile.is_free
-                    )
-                    if count != reference:
-                        sanitize.violation(
-                            "shadow-recount",
-                            "repro.arch.fabric.Fabric._free_index",
-                            "count_free",
-                            f"{kind.name}: index says {count} free, "
-                            f"full scan says {reference}",
-                        )
-            return count
+                self._check_index("count_free")
+            return self._free_count[kind]
         return sum(
             1 for tile in self._tiles.values() if tile.kind is kind and tile.is_free
         )
 
-    def _scan_free_positions(self, kind: TileKind) -> List[Coordinate]:
-        """Reference full row-major scan of free tiles of ``kind``."""
-        return [
-            position
-            for position, tile in self._tiles.items()
-            if tile.kind is kind and tile.is_free
-        ]
-
     def _free_positions(self, kind: TileKind) -> List[Coordinate]:
         if perf.FAST:
-            # ``_tiles`` is populated row-major (y outer, x inner), so
-            # sorting the free set by (y, x) reproduces the scalar
-            # scan's enumeration order exactly — allocation seed
-            # selection is bit-identical in both modes.
-            positions = sorted(
-                self._free_index[kind], key=lambda p: (p[1], p[0])
-            )
             if sanitize.ENABLED:
-                self._sanitize_ticks += 1
-                if sanitize.should_sample(self._sanitize_ticks):
-                    reference = self._scan_free_positions(kind)
-                    if positions != reference:
-                        extra = sorted(set(positions) - set(reference))
-                        missing = sorted(set(reference) - set(positions))
-                        sanitize.violation(
-                            "shadow-recount",
-                            "repro.arch.fabric.Fabric._free_index",
-                            "_free_positions",
-                            f"{kind.name}: index diverged from full scan "
-                            f"(stale={extra[:4]!r}, missing="
-                            f"{missing[:4]!r}, index_len={len(positions)}, "
-                            f"scan_len={len(reference)})",
-                        )
-            return positions
+                self._check_index("_free_positions")
+            # Flat ids ascend in row-major order, which is exactly the
+            # order ``_tiles`` was populated in and the scan enumerates.
+            ys, xs = np.divmod(
+                np.flatnonzero(self._free_mask == _BIT[kind]), self.width
+            )
+            return list(zip(xs.tolist(), ys.tolist()))
         return [
             position
             for position, tile in self._tiles.items()
             if tile.kind is kind and tile.is_free
         ]
 
-    def _best_seed(
-        self, need_slices: int, need_banks: int
-    ) -> Optional[Coordinate]:
+    def _best_seed(self, need_slices: int, need_banks: int) -> Coordinate:
         """FAST seed search: the scalar scan's winner without growing.
 
-        Region growth traverses occupied tiles, so the region a seed
-        produces is simply the nearest free tiles of each kind and its
-        span is ``max(k-th smallest Manhattan distance to free Slices,
-        m-th smallest to free banks)`` — an integer computable for all
-        seeds at once.  ``argmin`` returns the first minimal entry and
-        the seed array is in row-major scan order, so the winner is
-        bit-identical to the scalar loop's first strictly-best seed.
+        Region growth visits tiles in order of Manhattan distance from
+        the seed and traverses occupied tiles, so the region a seed
+        produces is the nearest free tiles of each kind and its span is
+        the smallest radius ``r`` whose diamond (tiles within distance
+        ``r``) holds ``need_slices`` free Slices, the seed included, and
+        ``need_banks`` free banks.  With ``u = x + y`` and
+        ``v = x - y + height - 1`` a diamond is the square
+        ``|du| <= r, |dv| <= r`` on the rotated grid, so a 2-D prefix
+        sum of the scattered mask counts both kinds (one 32-bit field
+        each) for every seed in four lookups.  Qualifying is monotone
+        in ``r``: the sweep gallops up from a lower bound (a diamond
+        holds at most ``2r^2 + 2r + 1`` tiles) and bisects below the
+        first radius at which any seed qualifies, keeping only those
+        seeds; radius ``width + height - 2`` covers the fabric from
+        every seed, so the least span is always found.  The survivors
+        stay in row-major order, so the first is ``argmin(spans)``'s
+        first minimal entry: the scalar loop's first strictly-best seed.
+        The caller has checked that enough tiles of each kind are free.
         """
-        seeds = self._free_positions(TileKind.SLICE)
-        if len(seeds) < need_slices:
-            return None
-        width = self.width
-        distances = _distance_matrix(width, self.height)
-        seed_ids = np.fromiter(
-            (y * width + x for x, y in seeds),
-            dtype=np.intp,
-            count=len(seeds),
+        if sanitize.ENABLED:
+            self._check_index("_best_seed")
+        side = self.width + self.height - 1
+        grid = np.zeros(side * side, dtype=np.int64)
+        grid[self._rotated] = self._free_mask
+        table = np.zeros((side + 1, side + 1), dtype=np.int64)
+        np.cumsum(
+            np.cumsum(grid.reshape(side, side), axis=0), axis=1, out=table[1:, 1:]
         )
-        slice_distances = distances[np.ix_(seed_ids, seed_ids)]
-        spans = np.partition(slice_distances, need_slices - 1, axis=1)[
-            :, need_slices - 1
-        ]
-        if need_banks:
-            banks = self._free_positions(TileKind.L2_BANK)
-            if len(banks) < need_banks:
-                return None
-            bank_ids = np.fromiter(
-                (y * width + x for x, y in banks),
-                dtype=np.intp,
-                count=len(banks),
+        table = table.ravel()
+        seeds = np.flatnonzero(self._free_mask == _BIT[TileKind.SLICE])
+        uv = self._rotated_uv[:, seeds]
+        step = np.array([[side + 1], [1]])
+        need = need_slices * _BIT[TileKind.SLICE]
+        low = 0
+        while 2 * low * (low + 1) + 1 < need_slices + need_banks:
+            low += 1
+        high, stride = side - 1, 1
+        while low < high:
+            radius = min(low + stride - 1, (low + high) // 2)
+            lo = np.maximum(uv - radius * step, 0)
+            hi = np.minimum(uv + (radius + 1) * step, side * step)
+            counts = (
+                table[hi[0] + hi[1]] - table[lo[0] + hi[1]]
+                - table[hi[0] + lo[1]] + table[lo[0] + lo[1]]
             )
-            bank_distances = distances[np.ix_(seed_ids, bank_ids)]
-            bank_spans = np.partition(bank_distances, need_banks - 1, axis=1)[
-                :, need_banks - 1
-            ]
-            spans = np.maximum(spans, bank_spans)
-        return seeds[int(np.argmin(spans))]
+            qualified = (counts >= need) & ((counts & _BANK_FIELD) >= need_banks)
+            if qualified.any():
+                high = radius
+                seeds, uv = seeds[qualified], uv[:, qualified]
+            else:
+                low, stride = radius + 1, 2 * stride
+        y, x = divmod(int(seeds[0]), self.width)
+        return (x, y)
 
     def _neighbors(self, position: Coordinate) -> List[Coordinate]:
         x, y = position
@@ -358,21 +366,18 @@ class Fabric:
             raise FabricError(f"vcore {vcore_id} already allocated")
         need_slices = config.slices
         need_banks = config.l2_banks
-        if self.count_free(TileKind.SLICE) < need_slices:
+        free_slices = self.count_free(TileKind.SLICE)
+        if free_slices < need_slices:
             raise FabricError(
-                f"need {need_slices} free Slices, have "
-                f"{self.count_free(TileKind.SLICE)}"
+                f"need {need_slices} free Slices, have {free_slices}"
             )
-        if self.count_free(TileKind.L2_BANK) < need_banks:
-            raise FabricError(
-                f"need {need_banks} free banks, have "
-                f"{self.count_free(TileKind.L2_BANK)}"
-            )
+        free_banks = self.count_free(TileKind.L2_BANK)
+        if free_banks < need_banks:
+            raise FabricError(f"need {need_banks} free banks, have {free_banks}")
         best: Optional[Tuple[List[Coordinate], List[Coordinate]]] = None
         if perf.FAST:
             seed = self._best_seed(need_slices, need_banks)
-            if seed is not None:
-                best = self._grow_region(seed, need_slices, need_banks)
+            best = self._grow_region(seed, need_slices, need_banks)
         else:
             best_span = None
             for seed in self._free_positions(TileKind.SLICE):
@@ -393,20 +398,33 @@ class Fabric:
                 "existing virtual cores is required"
             )
         slices, banks = best
-        for position in slices + banks:
-            tile = self._tiles[position]
-            tile.owner_vcore = vcore_id
-            self._free_index[tile.kind].discard(position)
-        for position in slices:
-            self._tiles[position].slice_unit.owner_vcore = vcore_id
         allocation = Allocation(
             vcore_id=vcore_id,
             config=config,
             slice_positions=tuple(slices),
             bank_positions=tuple(banks),
         )
+        self._set_owner(allocation, vcore_id)
         self._allocations[vcore_id] = allocation
         return allocation
+
+    def _set_owner(self, allocation: Allocation, owner: Optional[int]) -> None:
+        """Hand ``allocation``'s tiles to ``owner`` (None frees them),
+        keeping the free mask and counters in lockstep."""
+        free = owner is None
+        mask, width = self._free_mask, self.width
+        for kind, positions in (
+            (TileKind.SLICE, allocation.slice_positions),
+            (TileKind.L2_BANK, allocation.bank_positions),
+        ):
+            word = _BIT[kind] if free else 0
+            for x, y in positions:
+                tile = self._tiles[(x, y)]
+                tile.owner_vcore = owner
+                if tile.slice_unit is not None:
+                    tile.slice_unit.owner_vcore = owner
+                mask[y * width + x] = word
+            self._free_count[kind] += len(positions) if free else -len(positions)
 
     def try_allocate_exact(self, allocation: Allocation) -> bool:
         """Re-seat a previously released allocation on its exact tiles.
@@ -426,12 +444,7 @@ class Fabric:
             tile = self._tiles.get(position)
             if tile is None or not tile.is_free:
                 return False
-        for position in allocation.positions:
-            tile = self._tiles[position]
-            tile.owner_vcore = allocation.vcore_id
-            self._free_index[tile.kind].discard(position)
-        for position in allocation.slice_positions:
-            self._tiles[position].slice_unit.owner_vcore = allocation.vcore_id
+        self._set_owner(allocation, allocation.vcore_id)
         self._allocations[allocation.vcore_id] = allocation
         return True
 
@@ -439,12 +452,7 @@ class Fabric:
         allocation = self._allocations.pop(vcore_id, None)
         if allocation is None:
             raise FabricError(f"vcore {vcore_id} is not allocated")
-        for position in allocation.positions:
-            tile = self._tiles[position]
-            tile.owner_vcore = None
-            self._free_index[tile.kind].add(position)
-            if tile.slice_unit is not None:
-                tile.slice_unit.owner_vcore = None
+        self._set_owner(allocation, None)
 
     def reallocate(self, vcore_id: int, config: VCoreConfig) -> Allocation:
         """Resize a virtual core (release + allocate, keeping the id)."""
@@ -475,20 +483,12 @@ class Fabric:
         tile-intervals so that multiplying over a skipped idle stretch
         equals per-interval accumulation bit for bit.
         """
-        total = len(self._tiles)
         if perf.FAST:
-            free = sum(len(index) for index in self._free_index.values())
-            return total - free
+            return len(self._tiles) - sum(self._free_count.values())
         return sum(1 for tile in self._tiles.values() if not tile.is_free)
 
     def utilization(self) -> float:
-        total = len(self._tiles)
-        if perf.FAST:
-            free = sum(len(index) for index in self._free_index.values())
-            used = total - free
-        else:
-            used = sum(1 for tile in self._tiles.values() if not tile.is_free)
-        return used / total if total else 0.0
+        return self.occupied_tiles() / len(self._tiles)
 
     def defragment(self) -> int:
         """Re-pack all allocations compactly; returns vcores moved.

@@ -15,6 +15,7 @@ import pytest
 from repro import perf
 from repro.analysis import sanitize
 from repro.analysis.sanitize import SanitizerViolation
+from repro.arch import fabric as fabric_module
 from repro.arch.fabric import Fabric, TileKind
 from repro.arch.vcore import VCoreConfig
 from repro.sim.optables import cache_clear, operating_point_table
@@ -162,6 +163,11 @@ class TestOptablesPublish:
 
 
 class TestFabricShadowRecount:
+    @staticmethod
+    def _flat_id(fabric, position):
+        x, y = position
+        return y * fabric.width + x
+
     def test_corrupted_free_index_is_caught(self, fast):
         fabric = Fabric(width=4, height=4)
         # Corrupt the incremental index: claim an allocated tile free.
@@ -172,19 +178,36 @@ class TestFabricShadowRecount:
             for position, tile in fabric._tiles.items()
             if tile.owner_vcore == 1 and tile.kind is TileKind.SLICE
         )
-        fabric._free_index[TileKind.SLICE].add(taken)
+        fabric._free_mask[self._flat_id(fabric, taken)] = fabric_module._BIT[
+            TileKind.SLICE
+        ]
         with pytest.raises(SanitizerViolation) as excinfo:
             for _ in range(2 * sanitize.SHADOW_SAMPLE_PERIOD):
                 fabric._free_positions(TileKind.SLICE)
         assert excinfo.value.rule == "shadow-recount"
-        assert "_free_index" in excinfo.value.owner
+        assert "_free_mask" in excinfo.value.owner
 
     def test_corrupted_count_is_caught(self, fast):
         fabric = Fabric(width=4, height=4)
-        fabric._free_index[TileKind.L2_BANK].pop()
-        with pytest.raises(SanitizerViolation):
+        fabric._free_count[TileKind.L2_BANK] -= 1
+        with pytest.raises(SanitizerViolation) as excinfo:
             for _ in range(2 * sanitize.SHADOW_SAMPLE_PERIOD):
                 fabric.count_free(TileKind.L2_BANK)
+        assert excinfo.value.rule == "shadow-recount"
+        assert "_free_mask" in excinfo.value.owner
+
+    def test_flipped_mask_bit_is_caught_through_allocate(self, fast):
+        fabric = Fabric(width=6, height=6)
+        fabric.allocate(vcore_id=1, config=VCoreConfig(slices=2, l2_kb=128))
+        # Counters stay right; only the bit the seed sweep reads flips.
+        free_bank = fabric._free_positions(TileKind.L2_BANK)[0]
+        fabric._free_mask[self._flat_id(fabric, free_bank)] = 0
+        with pytest.raises(SanitizerViolation) as excinfo:
+            for vcore_id in range(2, 2 + 2 * sanitize.SHADOW_SAMPLE_PERIOD):
+                fabric.allocate(vcore_id, VCoreConfig(slices=1, l2_kb=64))
+                fabric.release(vcore_id)
+        assert excinfo.value.rule == "shadow-recount"
+        assert "_free_mask" in excinfo.value.owner
 
     def test_clean_fabric_runs_sampled_checks_silently(self, fast):
         fabric = Fabric(width=4, height=4)

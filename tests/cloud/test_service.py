@@ -10,6 +10,7 @@ bit-identically to the uninterrupted run).
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro import perf
@@ -155,6 +156,30 @@ class TestCheckpoint:
             engine.run(until=60)
             blob = engine.checkpoint()
             resumed = ServiceEngine.restore(blob).run()
+        assert resumed == straight
+
+    def test_fragmented_fabric_round_trip_rebuilds_index(self):
+        def engine():
+            scenario = small_scenario(
+                tenants=40, horizon=200, seed=4, activity=0.4, lifetime_min=80.0
+            )
+            return build_engine(scenario, fabric=Fabric(10, 10))
+
+        with perf.fast_paths(True):
+            straight = engine().run()
+            live = engine()
+            live.run(until=60)
+            # Fragmented: re-packing a copy of the live fabric moves vcores.
+            assert pickle.loads(pickle.dumps(live.fabric)).defragment() > 0
+            # The free index is derived state and stays out of the payload.
+            assert "_free_mask" not in live.fabric.__getstate__()
+            restored = ServiceEngine.restore(live.checkpoint())
+            fabric = restored.fabric
+            mask, counts = fabric._scan_index()
+            assert np.array_equal(fabric._free_mask, mask)
+            assert fabric._free_count == counts
+            resumed = restored.run()
+        assert straight.defragmentations > 0
         assert resumed == straight
 
     def test_restore_does_not_disturb_original(self):
