@@ -39,9 +39,11 @@ built on top only claim what a direct call chain proves.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 from typing import (
+    Deque,
     Dict,
     FrozenSet,
     Iterator,
@@ -543,8 +545,8 @@ def _iter_functions(
     return walk(module_body, "")
 
 
-def _local_names(node: FunctionNode) -> Set[str]:
-    """Names bound locally in ``node`` (so not the module's globals)."""
+def _local_names(node: FunctionNode, walked: Sequence[ast.AST]) -> Set[str]:
+    """Names bound locally in ``node``, given ``walked = ast.walk(node)``."""
     names: Set[str] = set()
     args = node.args
     for arg in (
@@ -555,7 +557,7 @@ def _local_names(node: FunctionNode) -> Set[str]:
         + ([args.kwarg] if args.kwarg else [])
     ):
         names.add(arg.arg)
-    for child in ast.walk(node):
+    for child in walked:
         if child is not node and isinstance(
             child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
@@ -665,7 +667,7 @@ class _ModuleScanner:
                     info.frozen_classes.add(statement.name)
 
     def _collect_rebounds(self) -> None:
-        for node in ast.walk(self.context.tree):
+        for node in self.context.nodes:
             if isinstance(node, ast.Global):
                 for name in node.names:
                     var = self.info.globals.setdefault(
@@ -700,9 +702,10 @@ class _ModuleScanner:
         param_set = set(summary.params)
         param_reads: Set[str] = set()
         loop_targets: Set[str] = set()
-        locals_here = _local_names(node)
+        walked = tuple(ast.walk(node))
+        locals_here = _local_names(node, walked)
         global_decls: Set[str] = set()
-        for child in ast.walk(node):
+        for child in walked:
             if isinstance(child, ast.Global):
                 global_decls.update(child.names)
         shadowed = locals_here - global_decls
@@ -815,7 +818,7 @@ class _ModuleScanner:
 
         scalar_nodes = scalar_region_nodes(node)
         nonscalar_targets: Set[str] = set()
-        for child in ast.walk(node):
+        for child in walked:
             if isinstance(child, ast.If) and _mentions_fast(child.test):
                 summary.has_fast_branch = True
             # -- calls ----------------------------------------------------
@@ -1045,7 +1048,7 @@ class _ModuleScanner:
                     summary.returns_cache_lookup = True
         if summary.returned_names & set(summary.cache_bindings):
             summary.returns_cache_lookup = True
-        for child in ast.walk(node):
+        for child in walked:
             if isinstance(child, (ast.For, ast.AsyncFor)):
                 for part in ast.walk(child.target):
                     if isinstance(part, ast.Name):
@@ -1071,6 +1074,24 @@ def analyze_module(context: FileContext) -> ModuleInfo:
     return _ModuleScanner(context).scan()
 
 
+def module_info(context: FileContext) -> ModuleInfo:
+    """The context's :class:`ModuleInfo`, scanned once and kept on it.
+
+    Every consumer (the program graph, ``lock-discipline``) shares the
+    one scan, so nothing may mutate the returned summaries.
+    """
+    if context.module_info is None:
+        context.module_info = analyze_module(context)
+    return context.module_info
+
+
+def _suffix_match(candidate: str, dotted: str) -> bool:
+    """Dotted-suffix matching either way, so synthetic test trees
+    (``pkg.sim.stats``) resolve imports written as ``sim.stats`` and
+    vice versa.  A match implies equal last dotted components."""
+    return candidate.endswith("." + dotted) or dotted.endswith("." + candidate)
+
+
 class ProgramGraph:
     """The linked whole-program view over every scanned module."""
 
@@ -1092,31 +1113,49 @@ class ProgramGraph:
                 self._by_target.setdefault(
                     (summary.module, class_qual), key
                 )
+        #: Suffix-fallback indexes, in sorted (module, name) order.
+        self._by_name: Dict[str, List[Tuple[str, str]]] = {}
+        for (module, name), key in sorted(self._by_target.items()):
+            self._by_name.setdefault(name, []).append((module, key))
+        self._modules_by_tail: Dict[str, List[str]] = {}
+        for dotted in sorted(self.modules):
+            tail = dotted.rsplit(".", 1)[-1]
+            self._modules_by_tail.setdefault(tail, []).append(dotted)
+        self._resolved: Dict[str, Optional[str]] = {}
 
     @classmethod
     def build(cls, contexts: Sequence[FileContext]) -> "ProgramGraph":
-        return cls([analyze_module(context) for context in contexts])
+        return cls([module_info(context) for context in contexts])
 
     def resolve(self, target: str) -> Optional[str]:
         """Function key for a ``module::name`` call target, if scanned.
 
-        Falls back to dotted-suffix module matching so synthetic test
-        trees (``pkg.sim.stats``) resolve imports written as
-        ``sim.stats`` and vice versa.
+        Falls back to the first dotted-suffix module match (see
+        :func:`_suffix_match`) in sorted module order.  Memoized: the
+        graph never changes once built.
         """
+        if target in self._resolved:
+            return self._resolved[target]
         module, name = target.split("::", 1)
         key = self._by_target.get((module, name))
-        if key is not None:
-            return key
-        for (candidate_module, candidate_name), candidate in sorted(
-            self._by_target.items()
+        if key is None:
+            for candidate_module, candidate in self._by_name.get(name, ()):
+                if _suffix_match(candidate_module, module):
+                    key = candidate
+                    break
+        self._resolved[target] = key
+        return key
+
+    def module_for(self, dotted: str) -> Optional[ModuleInfo]:
+        """Scanned module for a dotted name, suffix fallback as in resolve."""
+        module = self.modules.get(dotted)
+        if module is not None:
+            return module
+        for candidate in self._modules_by_tail.get(
+            dotted.rsplit(".", 1)[-1], ()
         ):
-            if candidate_name != name:
-                continue
-            if candidate_module.endswith("." + module) or (
-                module.endswith("." + candidate_module)
-            ):
-                return candidate
+            if _suffix_match(candidate, dotted):
+                return self.modules[candidate]
         return None
 
     def reachable_from(
@@ -1132,13 +1171,13 @@ class ProgramGraph:
         never inherit hotness from their fast siblings.
         """
         origin: Dict[str, str] = {}
-        queue: List[Tuple[str, str]] = []
+        queue: Deque[Tuple[str, str]] = deque()
         for root in sorted(roots):
             if root in self.functions and root not in origin:
                 origin[root] = root
                 queue.append((root, root))
         while queue:
-            key, root = queue.pop(0)
+            key, root = queue.popleft()
             summary = self.functions[key]
             for target in summary.calls:
                 if (

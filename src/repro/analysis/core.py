@@ -28,6 +28,7 @@ import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
@@ -40,6 +41,9 @@ from typing import (
     TypeVar,
     Union,
 )
+
+if TYPE_CHECKING:
+    from repro.analysis.callgraph import ModuleInfo
 
 _PRAGMA_PATTERN = re.compile(r"lint:\s*allow\(([a-z0-9_,\s-]+)\)")
 
@@ -137,7 +141,11 @@ class FileContext:
         self.path_parts: FrozenSet[str] = frozenset(
             Path(display_path).parts[:-1]
         )
-        annotate_parents(self.tree)
+        #: Every node of ``tree`` in ``ast.walk`` order, walked once;
+        #: per-file rules iterate it instead of re-walking the tree.
+        self.nodes: Tuple[ast.AST, ...] = annotate_parents(self.tree)
+        #: The file's scan, cached by :func:`callgraph.module_info`.
+        self.module_info: Optional["ModuleInfo"] = None
         self._allowed: Dict[int, FrozenSet[str]] = {}
         for number, text in enumerate(self.lines, start=1):
             match = _PRAGMA_PATTERN.search(text)
@@ -172,11 +180,15 @@ class FileContext:
         )
 
 
-def annotate_parents(tree: ast.AST) -> None:
-    """Attach a ``.parent`` attribute to every node in the tree."""
-    for parent in ast.walk(tree):
+def annotate_parents(tree: ast.AST) -> Tuple[ast.AST, ...]:
+    """Attach a ``.parent`` attribute to every node in the tree; return
+    the nodes in ``ast.walk`` (breadth-first) order."""
+    nodes: List[ast.AST] = [tree]
+    for parent in nodes:  # grows while iterated: a breadth-first walk
         for child in ast.iter_child_nodes(parent):
             child.parent = parent  # type: ignore[attr-defined]
+            nodes.append(child)
+    return tuple(nodes)
 
 
 def parent_of(node: ast.AST) -> Optional[ast.AST]:
@@ -189,11 +201,13 @@ _T = TypeVar("_T")
 #: Per-scan derived-analysis memo.  Whole-program rules all need the
 #: same expensive artifacts (the call graph, the hot-set view) over the
 #: same ``Sequence[FileContext]``; keying the memo weakly on the first
-#: context ties each cached artifact to the lifetime of its scan
-#: without keeping dead scans alive.  Entries verify the *full* context
-#: tuple by identity, so two scans that merely share a first file never
-#: alias.
-_SHARED_ANALYSES: "weakref.WeakKeyDictionary[FileContext, Dict[str, Tuple[Tuple[FileContext, ...], object]]]" = (
+#: context, and holding the rest of the context tuple through weak
+#: references too, ties each cached artifact to the lifetime of its
+#: scan without keeping dead scans alive.  Cached artifacts must
+#: therefore never reference a ``FileContext`` themselves.  Entries
+#: verify the *full* context tuple by identity, so two scans that
+#: merely share a first file never alias.
+_SHARED_ANALYSES: "weakref.WeakKeyDictionary[FileContext, Dict[str, Tuple[Tuple[weakref.ref[FileContext], ...], object]]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -212,25 +226,24 @@ def shared_analysis(
     """
     if not contexts:
         return build(contexts)
-    anchor = contexts[0]
-    incoming = tuple(contexts)
-    slots = _SHARED_ANALYSES.setdefault(anchor, {})
+    slots = _SHARED_ANALYSES.setdefault(contexts[0], {})
     hit = slots.get(kind)
     if hit is not None:
-        cached_contexts, value = hit
-        if len(cached_contexts) == len(incoming) and all(
-            cached is context
-            for cached, context in zip(cached_contexts, incoming)
+        cached_refs, value = hit
+        if len(cached_refs) == len(contexts) and all(
+            cached() is context
+            for cached, context in zip(cached_refs, contexts)
         ):
             return value  # type: ignore[return-value]
     built = build(contexts)
-    slots[kind] = (incoming, built)
+    slots[kind] = (tuple(weakref.ref(context) for context in contexts), built)
     return built
 
 
-def walk_functions(tree: ast.AST) -> Iterator[FunctionNode]:
-    """Every function/method definition in the tree, outermost first."""
-    for node in ast.walk(tree):
+def walk_functions(nodes: Iterable[ast.AST]) -> Iterator[FunctionNode]:
+    """Every function/method definition among ``nodes`` (a context's
+    :attr:`FileContext.nodes`), outermost first."""
+    for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 

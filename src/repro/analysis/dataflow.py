@@ -172,20 +172,6 @@ def _decorator_terminal(decorator: ast.expr) -> Optional[str]:
     return None
 
 
-def _module_for(graph: ProgramGraph, dotted: str) -> Optional[ModuleInfo]:
-    """Scanned module for a dotted name, with suffix fallback (mirrors
-    :meth:`ProgramGraph.resolve` so synthetic trees match)."""
-    module = graph.modules.get(dotted)
-    if module is not None:
-        return module
-    for candidate_dotted in sorted(graph.modules):
-        if candidate_dotted.endswith("." + dotted) or dotted.endswith(
-            "." + candidate_dotted
-        ):
-            return graph.modules[candidate_dotted]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Cache-site model
 
@@ -227,18 +213,13 @@ class StreamSite:
 
 
 class DataflowView:
-    """Scan-wide dataflow artifacts, built once per context tuple."""
+    """Scan-wide dataflow artifacts; memoized, so it holds no contexts."""
 
     def __init__(self, contexts: Sequence[FileContext]) -> None:
         self.graph: ProgramGraph = shared_graph(contexts)
         self.return_deps: Dict[str, FrozenSet[str]] = (
             self.graph.return_param_dependence()
         )
-        self.contexts: Tuple[FileContext, ...] = tuple(contexts)
-        self.by_dotted: Dict[str, FileContext] = {
-            module_dotted(context.display_path): context
-            for context in contexts
-        }
         self.keyed_factories: Dict[str, FunctionSummary] = (
             self._find_keyed_factories()
         )
@@ -246,8 +227,9 @@ class DataflowView:
         self.streams: List[StreamSite] = []
         for key in sorted(self.graph.functions):
             summary = self.graph.functions[key]
-            self.caches.extend(self._collect_caches(summary))
-            self.streams.extend(self._collect_streams(summary))
+            own = _own_nodes(summary.node)
+            self.caches.extend(self._collect_caches(summary, own))
+            self.streams.extend(self._collect_streams(summary, own))
 
     # -- keyed factories --------------------------------------------------
 
@@ -329,7 +311,9 @@ class DataflowView:
             return f"self.{expr.attr}"
         return None
 
-    def _collect_caches(self, summary: FunctionSummary) -> List[CacheSite]:
+    def _collect_caches(
+        self, summary: FunctionSummary, own: Sequence[ast.AST]
+    ) -> List[CacheSite]:
         module = self.graph.modules.get(summary.module)
         if module is None:
             return []
@@ -354,7 +338,7 @@ class DataflowView:
         lookups: Dict[str, List[ast.expr]] = {}
         membership: Dict[str, List[ast.expr]] = {}
         stores: Dict[str, List[Tuple[ast.expr, Optional[ast.expr], ast.AST]]] = {}
-        for node in _own_nodes(summary.node):
+        for node in own:
             if isinstance(node, ast.Call) and isinstance(
                 node.func, ast.Attribute
             ):
@@ -542,9 +526,10 @@ class DataflowView:
 
     # -- stream sites -----------------------------------------------------
 
-    def _collect_streams(self, summary: FunctionSummary) -> List[StreamSite]:
+    def _collect_streams(
+        self, summary: FunctionSummary, own: Sequence[ast.AST]
+    ) -> List[StreamSite]:
         sites: List[StreamSite] = []
-        own = _own_nodes(summary.node)
         for node in own:
             if not isinstance(node, ast.Call):
                 continue
@@ -719,7 +704,7 @@ class RngStreamRule(ProgramRule):
                 shared = name in module.rng_globals
                 if not shared and name in module.from_imports:
                     target, original = module.from_imports[name]
-                    owner = _module_for(graph, target)
+                    owner = graph.module_for(target)
                     shared = (
                         owner is not None and original in owner.rng_globals
                     )
@@ -743,19 +728,19 @@ class RngStreamRule(ProgramRule):
         factory_modules: Set[str] = {
             summary.module for summary in view.keyed_factories.values()
         }
-        for key in sorted(graph.functions):
-            summary = graph.functions[key]
-            if key in view.keyed_factories:
-                continue
-            module = graph.modules.get(summary.module)
-            if module is None:
-                continue
-            gated = summary.module in factory_modules or any(
+        gated: Set[str] = {
+            dotted
+            for dotted, module in graph.modules.items()
+            if dotted in factory_modules
+            or any(
                 graph.resolve(f"{target}::{original}")
                 in view.keyed_factories
                 for target, original in module.from_imports.values()
             )
-            if not gated:
+        }
+        for key in sorted(graph.functions):
+            summary = graph.functions[key]
+            if key in view.keyed_factories or summary.module not in gated:
                 continue
             context = _context_for(contexts, summary.path)
             if context is None:
@@ -895,7 +880,7 @@ class SeedDerivationRule(ProgramRule):
             for dep in sorted(site.seed_deps, key=lambda d: d.render()):
                 if dep.kind != "global":
                     continue
-                owner = _module_for(view.graph, dep.module)
+                owner = view.graph.module_for(dep.module)
                 if owner is None:
                     continue
                 var = owner.globals.get(dep.name)

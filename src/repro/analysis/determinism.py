@@ -82,10 +82,10 @@ def _dotted_tail(node: ast.expr) -> Optional[Tuple[str, str]]:
     return None
 
 
-def _from_imports(tree: ast.Module, module: str) -> Set[str]:
+def _from_imports(context: FileContext, module: str) -> Set[str]:
     """Local names bound by ``from <module> import ...`` in this file."""
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in context.nodes:
         if isinstance(node, ast.ImportFrom) and node.module == module:
             for alias in node.names:
                 names.add(alias.asname or alias.name)
@@ -103,10 +103,10 @@ class UnseededRandomRule(Rule):
     def check(self, context: FileContext) -> Iterator[Finding]:
         bare_random = {
             name
-            for name in _from_imports(context.tree, "random")
+            for name in _from_imports(context, "random")
             if name not in _SEEDED_RANDOM_FACTORIES
         }
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -155,8 +155,8 @@ class WallClockRule(Rule):
     def check(self, context: FileContext) -> Iterator[Finding]:
         clock_names = {
             pair[1] for pair in _WALL_CLOCK_CALLS
-        } & _from_imports(context.tree, "time")
-        for node in ast.walk(context.tree):
+        } & _from_imports(context, "time")
+        for node in context.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -183,7 +183,7 @@ class EnvReadRule(Rule):
     scoped_dirs = ENGINE_DIRS
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             dotted = (
                 _dotted_tail(node) if isinstance(node, ast.Attribute) else None
             )
@@ -221,7 +221,7 @@ class SetIterationRule(Rule):
     _ORDERING_CONSUMERS = frozenset({"list", "tuple", "enumerate"})
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             target: Optional[ast.expr] = None
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 if _is_set_expression(node.iter):
@@ -265,7 +265,7 @@ class IdKeyedRule(Rule):
         )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             flagged: List[ast.expr] = []
             if isinstance(node, ast.Subscript) and self._is_id_call(
                 node.slice

@@ -51,8 +51,7 @@ from repro.analysis.callgraph import (
     Effect,
     FunctionSummary,
     ModuleInfo,
-    ProgramGraph,
-    analyze_module,
+    module_info,
     shared_graph,
     _terminal_name,
 )
@@ -132,7 +131,7 @@ class LockDisciplineRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        info = analyze_module(context)
+        info = module_info(context)
         if not info.lock_names:
             return
         locks = ", ".join(sorted(info.lock_names))

@@ -56,8 +56,10 @@ for the ``repro lint --hot-report`` cost report.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass
 from typing import (
+    Deque,
     Dict,
     FrozenSet,
     Iterator,
@@ -175,13 +177,13 @@ def _build_hot_view(contexts: Sequence[FileContext]) -> HotView:
     # ProgramGraph.reachable_from) that additionally refuses to enter
     # *_reference functions and to follow scalar-only call edges.
     hot: Dict[str, str] = {}
-    queue: List[Tuple[str, str]] = []
+    queue: Deque[Tuple[str, str]] = deque()
     for root in sorted(roots):
         if root not in hot:
             hot[root] = root
             queue.append((root, root))
     while queue:
-        key, root = queue.pop(0)
+        key, root = queue.popleft()
         summary = graph.functions[key]
         for target in summary.calls:
             if target in summary.scalar_only_calls:

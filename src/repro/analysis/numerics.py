@@ -36,7 +36,7 @@ class FloatEqualityRule(Rule):
     description = "exact equality comparison against a float literal"
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -86,7 +86,7 @@ class MutableDefaultRule(Rule):
     description = "mutable default argument shared across calls"
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             defaults = list(node.args.defaults) + [
@@ -120,7 +120,7 @@ class NumpyShadowRule(Rule):
         )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]

@@ -98,7 +98,7 @@ class FastParityRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.If):
                 continue
             if not _mentions_fast(node.test):

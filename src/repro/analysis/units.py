@@ -158,7 +158,7 @@ class UnitMixRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for function in walk_functions(context.tree):
+        for function in walk_functions(context.nodes):
             units = _function_units(function)
             if len(set(units.values())) < 2:
                 continue
