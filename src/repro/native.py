@@ -1,15 +1,19 @@
-"""Optional compiled batch-stepping core for the cycle tier.
+"""Optional compiled core for the cycle tier and its trace decoder.
 
-The struct-of-arrays batch kernel (:mod:`repro.sim.batchpipe`) has a
-hot inner loop — one event epoch per cell per step — whose cost is
-pure interpreter overhead.  This module compiles ``sim/_batchcore.c``
-on demand with the host C compiler and loads it through :mod:`ctypes`,
-following the shape ROADMAP cites from ``subhft``'s ``rust_core``: an
-*optional* accelerated core behind a pure-Python contract, with the
-object-based pipeline retained as the always-runnable twin and
-bit-identity asserted in tests.  Nothing is installed: if no compiler
-is present (or ``REPRO_NATIVE`` disables the core) every caller falls
-back to the pure-Python path.
+Two hot loops in the cycle tier are pure interpreter overhead: the
+struct-of-arrays batch kernel (:mod:`repro.sim.batchpipe`), one event
+epoch per cell per step, and the trace decoder
+(:meth:`repro.sim.trace.TraceGenerator.generate_arrays`), a handful of
+Mersenne Twister draws per micro-op.  This module compiles
+``sim/_batchcore.c`` on demand with the host C compiler and loads it
+through :mod:`ctypes`; :class:`NativeBatchCore` binds its two entry
+points, ``repro_run_batch`` and ``repro_decode_trace``.  It follows the
+shape ROADMAP cites from ``subhft``'s ``rust_core``: an *optional*
+accelerated core behind a pure-Python contract, with the Python paths
+(the object pipeline, the scalar trace generator) retained as the
+always-runnable twins and bit-identity asserted in tests.  Nothing is
+installed: if no compiler is present (or ``REPRO_NATIVE`` disables the
+core) every caller falls back to the pure-Python path.
 
 Like :mod:`repro.cacheconf`, the host-level switches are read from the
 environment here, once, at the top of the package — the engine
@@ -20,12 +24,12 @@ the ``env-read`` determinism rule:
 * ``REPRO_NATIVE_DIR=<path>`` overrides where the shared object is
   built (default: a per-user directory under the system temp root).
 
-The switch can never change a result — the compiled kernel is
-bit-identical to the object pipeline (enforced by the `fast-parity`
-twin tests) — it only selects how fast the batch tier runs.  Build
-artifacts are keyed by a content hash of the C source and compiler
-identity, written via temp-file + atomic rename, so concurrent
-processes and stale sources are both safe.
+The switch can never change a result — both entry points are
+bit-identical to their Python twins (enforced by the `fast-parity`
+twin tests) — it only selects how fast the cycle tier runs.  Build
+artifacts are keyed by a content hash of the C source, compiler
+identity and flags, written via temp-file + atomic rename, so
+concurrent processes and stale sources are both safe.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +50,9 @@ import numpy as np
 _OFF_VALUES = frozenset({"0", "off", "none", "disabled"})
 
 #: Compile command prefix; the source and output paths are appended.
-_CFLAGS = ("-O2", "-fPIC", "-shared")
+#: ``-ffp-contract=off`` keeps ``a*b+c`` from fusing into an FMA, so the
+#: trace decoder's float comparisons see exactly CPython's doubles.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _SOURCE_PATH = Path(__file__).parent / "sim" / "_batchcore.c"
 
@@ -70,90 +76,94 @@ _CORE: Optional["NativeBatchCore"] = None
 _CORE_TRIED: bool = False
 _CORE_ERROR: Optional[str] = None
 
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_I8P = ctypes.POINTER(ctypes.c_int8)
+#: Buffer arguments of the kernel's entry points, in C order, with the
+#: dtype each must have (the kernel reads raw memory).
+_RUN_BATCH_BUFFERS = (
+    ("params", np.int64),
+    ("cell_conf", np.int64),
+    ("kinds", np.int8),
+    ("is_mem", np.int8),
+    ("mispredicted", np.int8),
+    ("addresses", np.int64),
+    ("code_addresses", np.int64),
+    ("producers", np.int64),
+    ("warm", np.int64),
+    ("out_cell", np.int64),
+    ("out_slice", np.int64),
+)
+_DECODE_TRACE_BUFFERS = (
+    ("words", np.uint64),
+    ("fparams", np.float64),
+    ("iparams", np.int64),
+    ("state", np.int64),
+    ("hot_set", np.int64),
+    ("sweep", np.int64),
+    ("bias", np.int8),
+    ("target", np.int64),
+    ("first_seen", np.int64),
+    ("kinds", np.int8),
+    ("sources", np.int64),
+    ("dests", np.int64),
+    ("addresses", np.int64),
+    ("mispredicted", np.bool_),
+    ("code_addresses", np.int64),
+    ("taken", np.int8),
+    ("branch_targets", np.int64),
+)
+
+
+def _addresses(
+    signature: Tuple[Tuple[str, type], ...], arrays: Tuple[np.ndarray, ...]
+) -> List[int]:
+    """Data addresses of ``arrays``, each checked against its
+    ``signature`` entry: C-contiguous and of the declared dtype."""
+    if len(arrays) != len(signature):
+        raise TypeError(f"need {len(signature)} buffers, got {len(arrays)}")
+    addresses = []
+    for (name, dtype), array in zip(signature, arrays):
+        if array.dtype != dtype or not array.flags.c_contiguous:
+            raise ValueError(
+                f"{name}: need C-contiguous {np.dtype(dtype).name}, "
+                f"got {array.dtype}"
+            )
+        addresses.append(array.ctypes.data)
+    return addresses
 
 
 class NativeBatchCore:
-    """ctypes wrapper around the compiled ``repro_run_batch`` entry."""
+    """ctypes wrapper around the compiled kernel's two entry points:
+    ``repro_run_batch`` (the lockstep cycle tier) and
+    ``repro_decode_trace`` (the trace decoder)."""
 
     def __init__(self, library: ctypes.CDLL, path: Path) -> None:
         self.path = path
-        fn = library.repro_run_batch
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _I64P,
-            _I64P,
-            _I8P,
-            _I8P,
-            _I8P,
-            _I64P,
-            _I64P,
-            _I64P,
-            _I64P,
-            _I64P,
-            _I64P,
-        ]
-        self._fn = fn
+        self._run = library.repro_run_batch
+        self._run.restype = ctypes.c_int64
+        self._run.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * len(
+            _RUN_BATCH_BUFFERS
+        )
+        self._decode = library.repro_decode_trace
+        self._decode.restype = ctypes.c_int64
+        self._decode.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * len(
+            _DECODE_TRACE_BUFFERS
+        )
 
     def run_batch(
-        self,
-        n_cells: int,
-        max_slices: int,
-        prod_width: int,
-        params: np.ndarray,
-        cell_conf: np.ndarray,
-        kinds: np.ndarray,
-        is_mem: np.ndarray,
-        mispredicted: np.ndarray,
-        addresses: np.ndarray,
-        code_addresses: np.ndarray,
-        producers: np.ndarray,
-        warm: np.ndarray,
-        out_cell: np.ndarray,
-        out_slice: np.ndarray,
+        self, n_cells: int, max_slices: int, prod_width: int, *buffers: np.ndarray
     ) -> int:
-        """Invoke the compiled lockstep kernel; returns its status code
-        (0 = ok, negative = allocation failure)."""
-        for name, array, dtype in (
-            ("params", params, np.int64),
-            ("cell_conf", cell_conf, np.int64),
-            ("kinds", kinds, np.int8),
-            ("is_mem", is_mem, np.int8),
-            ("mispredicted", mispredicted, np.int8),
-            ("addresses", addresses, np.int64),
-            ("code_addresses", code_addresses, np.int64),
-            ("producers", producers, np.int64),
-            ("warm", warm, np.int64),
-            ("out_cell", out_cell, np.int64),
-            ("out_slice", out_slice, np.int64),
-        ):
-            if array.dtype != dtype or not array.flags.c_contiguous:
-                raise ValueError(
-                    f"{name}: need C-contiguous {np.dtype(dtype).name}, "
-                    f"got {array.dtype}"
-                )
-        return int(
-            self._fn(
-                n_cells,
-                max_slices,
-                prod_width,
-                params.ctypes.data_as(_I64P),
-                cell_conf.ctypes.data_as(_I64P),
-                kinds.ctypes.data_as(_I8P),
-                is_mem.ctypes.data_as(_I8P),
-                mispredicted.ctypes.data_as(_I8P),
-                addresses.ctypes.data_as(_I64P),
-                code_addresses.ctypes.data_as(_I64P),
-                producers.ctypes.data_as(_I64P),
-                warm.ctypes.data_as(_I64P),
-                out_cell.ctypes.data_as(_I64P),
-                out_slice.ctypes.data_as(_I64P),
-            )
-        )
+        """Invoke the compiled lockstep kernel on ``buffers`` (in
+        ``_RUN_BATCH_BUFFERS`` order); returns its status code (0 = ok,
+        negative = allocation failure)."""
+        addresses = _addresses(_RUN_BATCH_BUFFERS, buffers)
+        return int(self._run(n_cells, max_slices, prod_width, *addresses))
+
+    def decode_trace(self, count: int, *buffers: np.ndarray) -> int:
+        """Decode ``count`` micro-ops from the raw MT19937 words in
+        ``buffers[0]`` (``_DECODE_TRACE_BUFFERS`` order; see
+        :mod:`repro.sim.trace`).  Returns the words consumed, or ``-1``
+        when they ran out."""
+        addresses = _addresses(_DECODE_TRACE_BUFFERS, buffers)
+        return int(self._decode(count, buffers[0].shape[0], *addresses))
 
 
 def _find_compiler() -> Optional[str]:

@@ -1,13 +1,18 @@
-/* Struct-of-arrays batch core for the cycle-accurate tier.
+/* Compiled core for the cycle-accurate tier.  Two exported entry
+ * points, loaded through ctypes by repro.native:
  *
- * One exported entrypoint, repro_run_batch, advances many independent
- * pipeline cells in lockstep: every iteration of the outer loop steps
- * each still-active cell through exactly one processed cycle (an
- * "event epoch" -- the idle cycles in between are skipped exactly as
- * in the Python event-driven engine), with finished cells dropped
- * from the active list.
+ *   - repro_run_batch advances many independent pipeline cells in
+ *     lockstep: every iteration of the outer loop steps each
+ *     still-active cell through exactly one processed cycle (an
+ *     "event epoch" -- the idle cycles in between are skipped exactly
+ *     as in the Python event-driven engine), with finished cells
+ *     dropped from the active list;
+ *   - repro_decode_trace (at the end of this file) decodes a synthetic
+ *     micro-op trace from raw Mersenne Twister words, draw for draw as
+ *     repro.sim.trace.TraceGenerator._generate_reference consumes
+ *     them from random.Random.
  *
- * The algorithm is a field-for-field port of
+ * The batch algorithm is a field-for-field port of
  * repro.sim.pipeline.MultiSlicePipeline._run_event_driven plus the
  * MemorySystem / CacheBank / ComposedL2 semantics it drives:
  *
@@ -30,6 +35,12 @@
  * All inputs are flat little-endian int64/int8 buffers prepared by
  * repro.sim.batchpipe from TraceArrays (see repro.sim.soa); -1 is the
  * None sentinel throughout.
+ *
+ * The decoder is the only floating-point code here: it builds each
+ * random() double exactly from integer words and only compares it
+ * against rates computed in Python.  repro.native also compiles with
+ * -ffp-contract=off, so no multiply-add is ever fused and the
+ * comparisons see CPython's doubles bit for bit by construction.
  */
 
 #include <stdint.h>
@@ -1007,4 +1018,238 @@ int64_t repro_run_batch(
     free(cells);
     free(active);
     return failed ? -2 : 0;
+}
+
+/* ---- trace decoder -------------------------------------------------- */
+
+/* fparams layout; the working-set cumulative shares follow */
+enum {
+    F_P_GEO = 0,
+    F_MEM_FRACTION,
+    F_BRANCH_CUT,
+    F_L1_MISS_RATE,
+    F_MISPREDICT_RATE,
+    F_HARD_FRACTION,
+    F_COUNT
+};
+
+/* iparams layout; the per-region block counts follow */
+enum {
+    I_REGISTERS = 0,
+    I_CODE_BLOCKS,
+    I_REGIONS,
+    I_COUNT
+};
+
+/* generator state scalars */
+enum {
+    G_PC = 0,
+    G_HOT_LEN,
+    G_FIRST_SEEN
+};
+
+#define HOT_SET_BLOCKS 96
+#define BLOCK_BYTES 64
+#define CODE_BASE (2LL << 40)
+#define STREAM_BASE (1LL << 34)
+#define STREAMING_BLOCKS ((256LL << 20) / BLOCK_BYTES)
+#define BRANCH_HARD 1
+#define BRANCH_EASY 2
+
+/* Raw MT19937 output words, read exactly as CPython's random.Random
+ * consumes them.  A read past the end sets overrun and yields 0, which
+ * ends every rejection and geometric loop, so the decoder unwinds
+ * without per-draw error paths. */
+typedef struct {
+    const uint64_t *words;
+    int64_t n;
+    int64_t cur;
+    int overrun;
+} WordStream;
+
+/* random(): ((a >> 5) * 2^26 + (b >> 6)) * 2^-53, exact in doubles */
+static double draw_random(WordStream *s) {
+    uint64_t a, b;
+    if (s->cur + 2 > s->n) {
+        s->overrun = 1;
+        return 0.0;
+    }
+    a = s->words[s->cur] >> 5;
+    b = s->words[s->cur + 1] >> 6;
+    s->cur += 2;
+    return (double)((a << 26) | b) * (1.0 / 9007199254740992.0);
+}
+
+/* _randbelow(n), 0 < n < 2^32: the top bit_length(n) bits of one
+ * word, rejection-sampled until < n */
+static int64_t draw_below(WordStream *s, int64_t n) {
+    int bits = 0;
+    uint64_t r;
+    while ((n >> bits) != 0)
+        bits++;
+    do {
+        if (s->cur >= s->n) {
+            s->overrun = 1;
+            return 0;
+        }
+        r = s->words[s->cur++] >> (32 - bits);
+    } while (r >= (uint64_t)n);
+    return (int64_t)r;
+}
+
+/* Decode `count` micro-ops from `words`, draw for draw as
+ * repro.sim.trace.TraceGenerator._generate_reference would.  Columns
+ * use -1 for None; `sources` is (count, 2).  The generator state is
+ * updated in place: state[] scalars, the hot set (oldest block first,
+ * on entry and on return), sweep positions, and the per-code-block
+ * branch tables (bias 0 = not yet seen), with each newly seen block
+ * appended to first_seen.  Returns the words consumed, or -1 when
+ * `words` ran out (the caller retries with a larger buffer; partial
+ * state is then garbage). */
+int64_t repro_decode_trace(
+    int64_t count,
+    int64_t n_words,
+    const uint64_t *words,
+    const double *fparams,
+    const int64_t *iparams,
+    int64_t *state,
+    int64_t *hot_set,
+    int64_t *sweep,
+    int8_t *bias,
+    int64_t *target,
+    int64_t *first_seen,
+    int8_t *kinds,
+    int64_t *sources,
+    int64_t *dests,
+    int64_t *addresses,
+    int8_t *mispredicted,
+    int64_t *code_addresses,
+    int8_t *taken,
+    int64_t *branch_targets)
+{
+    WordStream s = {words, n_words, 0, 0};
+    const double p_geo = fparams[F_P_GEO];
+    const double mem_fraction = fparams[F_MEM_FRACTION];
+    const double branch_cut = fparams[F_BRANCH_CUT];
+    const double l1_miss_rate = fparams[F_L1_MISS_RATE];
+    const double mispredict_rate = fparams[F_MISPREDICT_RATE];
+    const double hard_fraction = fparams[F_HARD_FRACTION];
+    const double *cumulative = fparams + F_COUNT;
+    const int64_t registers = iparams[I_REGISTERS];
+    const int64_t code_blocks = iparams[I_CODE_BLOCKS];
+    const int64_t regions = iparams[I_REGIONS];
+    const int64_t *region_blocks = iparams + I_COUNT;
+    int64_t pc = state[G_PC];
+    int64_t hot_len = state[G_HOT_LEN];
+    int64_t n_seen = state[G_FIRST_SEEN];
+    int64_t hot[HOT_SET_BLOCKS];
+    int64_t hot_start = 0;
+    int64_t op, i;
+
+    memcpy(hot, hot_set, (size_t)hot_len * sizeof(int64_t));
+    for (op = 0; op < count && !s.overrun; op++) {
+        int64_t distance = 1, producer, src0, src1 = -1, dest, code;
+        int64_t address = -1, block;
+        double value, draw;
+        int8_t kind;
+
+        value = draw_random(&s);
+        while (value > p_geo && distance < 64) {
+            distance++;
+            value = draw_random(&s);
+        }
+        producer = op - distance;
+        src0 = producer >= 0 ? dests[producer] : -1;
+        if (src0 < 0)
+            src0 = draw_below(&s, registers);
+        if (draw_random(&s) < 0.6) {
+            /* randint(16, 64) == 16 + _randbelow(49) */
+            int64_t stale = op - 16 - draw_below(&s, 49);
+            src1 = stale >= 0 ? dests[stale] : -1;
+            if (src1 < 0)
+                src1 = draw_below(&s, registers);
+        }
+        dest = draw_below(&s, registers);
+        draw = draw_random(&s);
+        mispredicted[op] = 0;
+        taken[op] = -1;
+        branch_targets[op] = -1;
+        if (draw >= branch_cut) {
+            kind = 0;
+            code = CODE_BASE + pc * BLOCK_BYTES;
+            if (draw_random(&s) < 1.0 / 16.0)
+                pc = (pc + 1) % code_blocks;
+        } else if (draw < mem_fraction) {
+            code = CODE_BASE + pc * BLOCK_BYTES;
+            if (draw_random(&s) < 1.0 / 16.0)
+                pc = (pc + 1) % code_blocks;
+            kind = draw_random(&s) < 0.7 ? KIND_LOAD : KIND_STORE;
+            /* _address: re-touch the hot set, or sweep a working-set
+             * region, or stream */
+            if (hot_len > 0 && draw_random(&s) > l1_miss_rate)
+                address = hot[(hot_start + draw_below(&s, hot_len))
+                              % HOT_SET_BLOCKS];
+            if (address < 0) {
+                int64_t base = 0, r;
+                value = draw_random(&s);
+                for (r = 0; r < regions; r++) {
+                    if (value < cumulative[r]) {
+                        address = base + sweep[r] * BLOCK_BYTES;
+                        sweep[r] = (sweep[r] + 1) % region_blocks[r];
+                        break;
+                    }
+                    base += 1LL << 30;
+                }
+                if (r == regions)
+                    address = STREAM_BASE
+                        + draw_below(&s, STREAMING_BLOCKS) * BLOCK_BYTES;
+                if (hot_len < HOT_SET_BLOCKS) {
+                    hot[(hot_start + hot_len++) % HOT_SET_BLOCKS] = address;
+                } else {
+                    hot[hot_start] = address;
+                    hot_start = (hot_start + 1) % HOT_SET_BLOCKS;
+                }
+            }
+            if (kind == KIND_LOAD)
+                src1 = -1;
+            else
+                dest = -1;
+        } else {
+            kind = KIND_BRANCH;
+            /* a taken branch jumps the PC before the address is formed */
+            if (draw_random(&s) < 0.6)
+                pc = draw_below(&s, code_blocks);
+            block = pc;
+            code = CODE_BASE + pc * BLOCK_BYTES;
+            if (draw_random(&s) < 1.0 / 16.0)
+                pc = (pc + 1) % code_blocks;
+            if (bias[block] == 0) {
+                bias[block] = draw_random(&s) < hard_fraction
+                    ? BRANCH_HARD : BRANCH_EASY;
+                target[block] = CODE_BASE
+                    + draw_below(&s, code_blocks) * BLOCK_BYTES;
+                first_seen[n_seen++] = block;
+            }
+            taken[op] = draw_random(&s)
+                < (bias[block] == BRANCH_HARD ? 0.5 : 0.97);
+            mispredicted[op] = draw_random(&s) < mispredict_rate;
+            branch_targets[op] = target[block];
+            src1 = -1;
+            dest = -1;
+        }
+        kinds[op] = kind;
+        sources[2 * op] = src0;
+        sources[2 * op + 1] = src1;
+        dests[op] = dest;
+        addresses[op] = address;
+        code_addresses[op] = code;
+    }
+    if (s.overrun)
+        return -1;
+    for (i = 0; i < hot_len; i++)
+        hot_set[i] = hot[(hot_start + i) % HOT_SET_BLOCKS];
+    state[G_PC] = pc;
+    state[G_HOT_LEN] = hot_len;
+    state[G_FIRST_SEEN] = n_seen;
+    return s.cur;
 }

@@ -8,182 +8,132 @@ instruction, branch fraction), dependency structure targeting the
 phase's intrinsic ILP, mispredict rate, and memory reuse matching the
 working-set spectrum.  DESIGN.md §2 records this substitution.
 
-Generation has two implementations behind :data:`repro.perf.FAST`:
+There is one generator and one fast decoder for it:
 
-* the scalar reference draws from :class:`random.Random` one call at a
-  time (``_generate_reference``);
-* the fast twin (``_generate_fast``) syncs a ``numpy`` MT19937 bit
-  generator to the *same* Mersenne Twister state, pulls raw 32-bit
-  words in bulk, and decodes CPython's ``random()`` / ``getrandbits``
-  layouts from that word stream — so it consumes the identical RNG
-  stream and emits the identical op sequence, then writes the advanced
-  state back into ``self.rng``.
+* the scalar reference (``_generate_reference``) draws from
+  :class:`random.Random` one call at a time and builds
+  :class:`MicroOp` objects;
+* with :data:`repro.perf.FAST` on and the compiled kernel loaded
+  (:func:`repro.native.batch_core`), ``generate_arrays`` syncs a numpy
+  MT19937 to the *same* Mersenne Twister state, pulls one buffer of
+  raw 32-bit words, and ``repro_decode_trace`` (``sim/_batchcore.c``)
+  decodes CPython's ``random()`` and ``_randbelow`` draws from it, draw
+  for draw, straight into :class:`TraceArrays` columns.  The generator
+  state and the CPython RNG are then written back, so the ops and
+  every later draw are bit-identical to the reference.
+
+``generate`` under FAST is ``generate_arrays(count).to_ops()``.  Without
+a compiler (or with ``REPRO_NATIVE=0``) both entry points run the
+scalar reference: the kernel makes generation fast, never different.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional
-
 from collections import deque
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import List, Tuple
 
 import numpy as np
 
-from repro import perf
+from repro import native, perf
 from repro.analysis import sanitize
 from repro.sim.isa import MicroOp, OpKind
 from repro.sim.soa import TraceArrays
 from repro.workloads.phase import Phase
 
+# Layout constants shared with ``repro_decode_trace`` in
+# ``sim/_batchcore.c``; change both together.
 _BLOCK_BYTES = 64
+_CODE_BASE = 2 << 40
 _HOT_SET_BLOCKS = 96
 """Recently-touched blocks re-accessed to realize the phase's L1 hit
 rate: ~96 blocks (6 KB) comfortably fit the 16 KB L1."""
 
-_RAW_BLOCK = 1 << 16
-"""Raw 32-bit MT words pulled per ``random_raw`` batch in the fast
-generator."""
+_BRANCH_HARD = 1
+_BRANCH_EASY = 2
+_TAKEN_PROBABILITY = {_BRANCH_HARD: 0.5, _BRANCH_EASY: 0.97}
 
-_RAW_MARGIN = 1 << 12
-"""Headroom kept in the word buffer so one op's draws never run off the
-end between refills (an op needs at most a few hundred words)."""
+_TWO_SOURCES = frozenset({OpKind.ALU, OpKind.STORE})
+_WRITES_DEST = frozenset({OpKind.ALU, OpKind.LOAD})
+
+_NATIVE_MAX_CODE_BLOCKS = 1 << 20
+"""The decoder keeps two tables per code block; larger footprints (and
+registers beyond one 32-bit draw) take the scalar reference."""
 
 _RECIP_53 = 1.0 / 9007199254740992.0
 """``2**-53`` — the scale CPython's ``random()`` applies to its 53-bit
 mantissa built from two MT output words."""
 
 
+def _word_budget(count: int, ilp: float) -> int:
+    """Initial raw-word buffer for ``count`` ops.
+
+    An op draws about a dozen words plus two per geometric
+    dependency-distance step (mean ``ilp + 1`` steps, capped at 64);
+    the buffer allows some margin over that, and an overrun retries
+    with twice the words.
+    """
+    steps = min(max(ilp, 1.0) + 1.0, 64.0)
+    return int(count * (16.0 + 2.5 * steps)) + 1024
+
+
+def _mt19937(state: tuple) -> np.random.MT19937:
+    """A numpy MT19937 at exactly the ``random.Random`` ``state``.
+
+    Both share the Mersenne Twister layout (624-word key + position),
+    and ``random_raw`` yields the 32-bit words CPython consumes.
+    """
+    internal = state[1]
+    bitgen = np.random.MT19937()
+    bitgen.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.asarray(internal[:-1], dtype=np.uint32),
+            "pos": internal[-1],
+        },
+    }
+    return bitgen
+
+
 class _WordStream:
-    """CPython-compatible draws decoded from a numpy MT19937 core.
+    """The raw MT words a ``random.Random`` at ``state`` draws next.
 
-    ``random.Random`` and ``numpy.random.MT19937`` share the Mersenne
-    Twister state layout (624-word key + position), and numpy's
-    ``random_raw`` yields exactly the 32-bit output words CPython's
-    ``getrandbits(32)`` consumes.  This class syncs numpy to the
-    CPython state, batches the raw words, and reimplements the two
-    derived draws the trace generator uses:
-
-    * ``random()`` — two words ``a, b``; value is
-      ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53`` (the batch refill
-      precomputes this for every adjacent word pair, vectorized);
-    * ``_randbelow(n)`` — top ``n.bit_length()`` bits of one word,
-      rejection-sampled until ``< n``; recovered as
-      ``int(floats[i] * 2**53) >> (53 - k)``, since the precomputed
-      float at position ``i`` carries the top 27 bits of word ``i`` in
-      its mantissa (every draw here needs at most 23 bits).
-
-    ``resync`` replays the consumed words on a fresh clone and writes
-    the resulting state back into the ``random.Random`` instance, so a
-    scalar draw after a fast batch continues the same stream.
+    The decoder reads ``words`` and reports how many it used
+    (``cursor``); ``resync`` then replays that many words from the
+    start state and writes the result into the ``random.Random``, so a
+    scalar draw afterwards continues the same stream.
     """
 
-    __slots__ = (
-        "_state",
-        "_bitgen",
-        "_checkpoints",
-        "_raw",
-        "size",
-        "floats",
-        "cursor",
-        "_drawn",
-    )
+    __slots__ = ("_state", "words", "cursor")
 
-    def __init__(self, state: tuple) -> None:
+    def __init__(self, state: tuple, size: int) -> None:
         self._state = state
-        internal = state[1]
-        bitgen = np.random.MT19937()
-        bitgen.state = {
-            "bit_generator": "MT19937",
-            "state": {
-                "key": np.asarray(internal[:-1], dtype=np.uint32),
-                "pos": internal[-1],
-            },
-        }
-        self._bitgen = bitgen
-        # (state, words drawn so far) snapshots taken before each raw
-        # block, so resync only replays the tail of the stream.  The
-        # final consumed word can sit up to one carry (< _RAW_MARGIN)
-        # before the last snapshot, hence two are kept.
-        self._checkpoints = [(bitgen.state, 0)]
-        self._raw = bitgen.random_raw(_RAW_BLOCK)
-        self._drawn = _RAW_BLOCK
+        self.words = _mt19937(state).random_raw(size)
         self.cursor = 0
-        self._decode()
-
-    def _decode(self) -> None:
-        raw = self._raw
-        self.size = int(raw.shape[0])
-        self.floats = (
-            ((raw[:-1] >> 5) * 67108864.0 + (raw[1:] >> 6)) * _RECIP_53
-        ).tolist()
-
-    def _verify_checkpoints(self) -> None:
-        """Sanitizer: replaying the older checkpoint must reproduce the
-        newer one word-for-word (otherwise resync would silently land
-        the CPython RNG on the wrong word)."""
-        (old_state, old_pos), (new_state, new_pos) = self._checkpoints
-        clone = np.random.MT19937()
-        clone.state = old_state
-        if new_pos > old_pos:
-            clone.random_raw(new_pos - old_pos)
-        replayed = clone.state["state"]
-        recorded = new_state["state"]
-        if int(replayed["pos"]) != int(recorded["pos"]) or not np.array_equal(
-            replayed["key"], recorded["key"]
-        ):
-            sanitize.violation(
-                "rng-checkpoint",
-                "repro.sim.trace._WordStream",
-                "refill",
-                f"checkpoint replay of {new_pos - old_pos} words from "
-                f"word {old_pos} does not reach the recorded state at "
-                f"word {new_pos}",
-            )
-
-    def refill(self) -> None:
-        """Extend the buffer, carrying over unconsumed words."""
-        self._checkpoints = [
-            self._checkpoints[-1],
-            (self._bitgen.state, self._drawn),
-        ]
-        if sanitize.ENABLED:
-            self._verify_checkpoints()
-        fresh = self._bitgen.random_raw(_RAW_BLOCK)
-        self._drawn += _RAW_BLOCK
-        self._raw = np.concatenate((self._raw[self.cursor :], fresh))
-        self.cursor = 0
-        self._decode()
-
-    @property
-    def limit(self) -> int:
-        return self.size - _RAW_MARGIN
 
     def consumed(self) -> int:
-        return self._drawn - (self.size - self.cursor)
+        return self.cursor
 
     def resync(self, rng: random.Random) -> None:
         """Advance ``rng`` past every word consumed from this stream."""
         used = self.consumed()
-        for snapshot, position in reversed(self._checkpoints):
-            if position <= used:
-                break
-        bitgen = np.random.MT19937()
-        bitgen.state = snapshot
-        if used > position:
-            bitgen.random_raw(used - position)
+        bitgen = _mt19937(self._state)
+        bitgen.random_raw(used, output=False)
         final = bitgen.state["state"]
-        key = tuple(int(word) for word in final["key"])
+        key = tuple(final["key"].tolist())
         rng.setstate(
             (self._state[0], key + (int(final["pos"]),), self._state[2])
         )
-        if sanitize.ENABLED and self.cursor < self.size - 1:
+        if sanitize.ENABLED and self.cursor + 2 <= self.words.shape[0]:
             # The handed-back RNG's next float must be the stream's next
-            # undrawn float — proves the word-position arithmetic (and
-            # the checkpoint it replayed from) is exact.
+            # undrawn float — proves the replay lands on the exact word
+            # the decoder stopped at.
             probe = random.Random()
             probe.setstate(rng.getstate())
-            expected = self.floats[self.cursor]
+            high, low = self.words[self.cursor : self.cursor + 2].tolist()
+            expected = ((high >> 5) * 67108864.0 + (low >> 6)) * _RECIP_53
             actual = probe.random()
             if actual != expected:
                 sanitize.violation(
@@ -232,11 +182,12 @@ class TraceGenerator:
         self._code_blocks = max(
             phase.code_footprint_kb * 1024 // _BLOCK_BYTES, 1
         )
-        # Per-branch-address behaviour for dynamic prediction: a "hard"
-        # branch is 50/50 (a bimodal predictor misses it half the
-        # time); an easy one is strongly taken.  The hard fraction is
-        # chosen so the emergent mispredict rate matches the phase's
-        # specified rate: m ~= 0.5*f + 0.03*(1-f).
+        # Per-branch-address behaviour for dynamic prediction, as a
+        # bias code (``_TAKEN_PROBABILITY``): a "hard" branch is 50/50
+        # (a bimodal predictor misses it half the time); an easy one is
+        # strongly taken.  The hard fraction is chosen so the emergent
+        # mispredict rate matches the phase's specified rate:
+        # m ~= 0.5*f + 0.03*(1-f).
         self._branch_bias: dict = {}
         self._branch_target: dict = {}
         self._hard_fraction = min(
@@ -249,7 +200,7 @@ class TraceGenerator:
         random block within it (loops, calls)."""
         if is_taken_branch:
             self._pc = self.rng.randrange(self._code_blocks)
-        address = (2 << 40) + self._pc * _BLOCK_BYTES
+        address = _CODE_BASE + self._pc * _BLOCK_BYTES
         # ~16 four-byte instructions per block before advancing.
         if self.rng.random() < 1.0 / 16.0:
             self._pc = (self._pc + 1) % self._code_blocks
@@ -259,11 +210,12 @@ class TraceGenerator:
         """(taken, target) for the branch at ``address`` this time."""
         if address not in self._branch_bias:
             hard = self.rng.random() < self._hard_fraction
-            self._branch_bias[address] = 0.5 if hard else 0.97
+            self._branch_bias[address] = _BRANCH_HARD if hard else _BRANCH_EASY
             self._branch_target[address] = (
-                (2 << 40) + self.rng.randrange(self._code_blocks) * _BLOCK_BYTES
+                _CODE_BASE + self.rng.randrange(self._code_blocks) * _BLOCK_BYTES
             )
-        taken = self.rng.random() < self._branch_bias[address]
+        bias = _TAKEN_PROBABILITY[self._branch_bias[address]]
+        taken = self.rng.random() < bias
         return taken, self._branch_target[address]
 
     def _dependency_distance(self) -> int:
@@ -329,19 +281,21 @@ class TraceGenerator:
     def generate(self, count: int) -> List[MicroOp]:
         """Generate ``count`` micro-ops.
 
-        With :data:`repro.perf.FAST` enabled the draws are decoded from
-        bulk numpy MT19937 output; the op sequence and the generator's
-        RNG state afterwards are bit-identical to the scalar path.
+        With :data:`repro.perf.FAST` enabled this decodes the columns
+        (:meth:`generate_arrays`) and builds validated ops from them;
+        the op sequence and the generator's state afterwards are
+        bit-identical to the scalar path.
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
         if perf.FAST:
-            return self._generate_fast(count)
+            return self.generate_arrays(count).to_ops()
         return self._generate_reference(count)
 
     def _generate_reference(self, count: int) -> List[MicroOp]:
         """Scalar reference generator: one ``random.Random`` call per
-        draw.  The FAST twin must replay this draw sequence exactly."""
+        draw.  The compiled decoder must replay this draw sequence
+        exactly."""
         ops: List[MicroOp] = []
         for op_id in range(count):
             # The first source is the *critical* dependency, at a
@@ -372,669 +326,159 @@ class TraceGenerator:
             code_address = self._code_address(
                 is_taken_branch=is_branch and self.rng.random() < 0.6
             )
+            kind = OpKind.ALU
+            address = taken = target = None
+            mispredicted = False
             if draw < mem_fraction:
-                if self.rng.random() < 0.7:
-                    ops.append(
-                        MicroOp(
-                            op_id=op_id,
-                            kind=OpKind.LOAD,
-                            sources=tuple(sources[:1]),
-                            dest=dest,
-                            address=self._address(),
-                            code_address=code_address,
-                        )
-                    )
-                else:
-                    ops.append(
-                        MicroOp(
-                            op_id=op_id,
-                            kind=OpKind.STORE,
-                            sources=tuple(sources),
-                            dest=None,
-                            address=self._address(),
-                            code_address=code_address,
-                        )
-                    )
+                kind = OpKind.LOAD if self.rng.random() < 0.7 else OpKind.STORE
+                address = self._address()
             elif is_branch:
+                kind = OpKind.BRANCH
                 taken, target = self._branch_behaviour(code_address)
-                ops.append(
-                    MicroOp(
-                        op_id=op_id,
-                        kind=OpKind.BRANCH,
-                        sources=tuple(sources[:1]),
-                        dest=None,
-                        mispredicted=self.rng.random()
-                        < self.phase.mispredict_rate,
-                        code_address=code_address,
-                        taken=taken,
-                        branch_target=target,
-                    )
+                mispredicted = self.rng.random() < self.phase.mispredict_rate
+            # Only ALU ops and stores read the far source; only ALU ops
+            # and loads write a register.
+            ops.append(
+                MicroOp(
+                    op_id=op_id,
+                    kind=kind,
+                    sources=tuple(sources if kind in _TWO_SOURCES else sources[:1]),
+                    dest=dest if kind in _WRITES_DEST else None,
+                    address=address,
+                    mispredicted=mispredicted,
+                    code_address=code_address,
+                    taken=taken,
+                    branch_target=target,
                 )
-            else:
-                ops.append(
-                    MicroOp(
-                        op_id=op_id,
-                        kind=OpKind.ALU,
-                        sources=tuple(sources),
-                        dest=dest,
-                        code_address=code_address,
-                    )
-                )
+            )
         return ops
-
-    def _generate_fast(self, count: int) -> List[MicroOp]:
-        """FAST twin of :meth:`_generate_reference`.
-
-        Decodes the identical CPython draw sequence from batched numpy
-        MT19937 words (see :class:`_WordStream`) and builds the ops
-        without re-validating fields the construction already
-        guarantees.  All generator state (PC, hot set, sweep positions,
-        branch tables, RNG) is mirrored locally and written back only
-        on success, so the stream and every subsequent scalar draw stay
-        bit-identical.
-        """
-        stream = _WordStream(self.rng.getstate())
-        try:
-            ops, pc, hot = self._decode_ops(count, stream)
-        except IndexError:  # pragma: no cover - needs ~4096-word op
-            # One op overran the buffer margin (astronomically long
-            # rejection run).  Nothing on ``self`` was touched yet, so
-            # the scalar path can regenerate from the original state.
-            return self._generate_reference(count)
-        self._pc = pc
-        self._hot_blocks.clear()
-        self._hot_blocks.extend(hot)
-        stream.resync(self.rng)
-        return ops
-
-    def _decode_ops(self, count: int, stream: _WordStream):
-        """Decode ``count`` ops from ``stream``; returns (ops, pc, hot).
-
-        Every piece of generator state (sweep positions, branch tables,
-        PC, hot set) is mirrored locally; the sweep and branch tables
-        are written back just before returning, the rest is handed to
-        the caller — so an aborted decode leaves ``self`` untouched.
-        """
-        phase = self.phase
-        mem_fraction = phase.mem_refs_per_inst
-        branch_cut = mem_fraction + phase.branch_fraction
-        mispredict_rate = phase.mispredict_rate
-        l1_miss_rate = phase.l1_miss_rate
-        num_registers = self.num_registers
-        reg_shift = 53 - num_registers.bit_length()
-        code_blocks = self._code_blocks
-        code_shift = 53 - code_blocks.bit_length()
-        hard_fraction = self._hard_fraction
-        bias = dict(self._branch_bias)
-        branch_target = dict(self._branch_target)
-        sweep = list(self._sweep_position)
-        working_set = phase.working_set
-        region_blocks = [
-            max(size_kb * 1024 // _BLOCK_BYTES, 1)
-            for size_kb, _fraction in working_set
-        ]
-        streaming_blocks = (256 << 20) // _BLOCK_BYTES
-        pc = self._pc
-        hot = list(self._hot_blocks)
-        mean = max(phase.ilp, 1.0)
-        p_geo = 1.0 / (mean + 1.0)
-        code_base = 2 << 40
-        block_bytes = _BLOCK_BYTES
-        hot_cap = _HOT_SET_BLOCKS
-        micro_op = MicroOp
-
-        floats = stream.floats
-        cursor = stream.cursor
-        limit = stream.limit
-
-        new_op = object.__new__
-        set_dict = object.__setattr__
-        alu = OpKind.ALU
-        load = OpKind.LOAD
-        store = OpKind.STORE
-        branch = OpKind.BRANCH
-
-        ops: List[MicroOp] = []
-        append_op = ops.append
-        dests: List[Optional[int]] = []
-        append_dest = dests.append
-
-        for op_id in range(count):
-            if cursor > limit:
-                stream.cursor = cursor
-                stream.refill()
-                floats = stream.floats
-                cursor = stream.cursor
-                limit = stream.limit
-            # _dependency_distance: geometric via repeated random().
-            distance = 1
-            value = floats[cursor]
-            cursor += 2
-            while value > p_geo and distance < 64:
-                distance += 1
-                value = floats[cursor]
-                cursor += 2
-            producer = op_id - distance
-            src0 = dests[producer] if producer >= 0 else None
-            if src0 is None:
-                # randrange(num_registers): top-bits rejection sample.
-                src0 = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                cursor += 1
-                while src0 >= num_registers:
-                    src0 = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                    cursor += 1
-            src1 = -1
-            value = floats[cursor]
-            cursor += 2
-            if value < 0.6:
-                # randint(16, 64) == 16 + _randbelow(49).
-                step = int(floats[cursor] * 9007199254740992.0) >> 47
-                cursor += 1
-                while step >= 49:
-                    step = int(floats[cursor] * 9007199254740992.0) >> 47
-                    cursor += 1
-                stale = op_id - 16 - step
-                back = dests[stale] if stale >= 0 else None
-                if back is None:
-                    back = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                    cursor += 1
-                    while back >= num_registers:
-                        back = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                        cursor += 1
-                src1 = back
-            dest = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-            cursor += 1
-            while dest >= num_registers:
-                dest = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                cursor += 1
-            draw = floats[cursor]
-            cursor += 2
-            # Triage ordered by frequency (ALU usually dominates); the
-            # _code_address taken-branch draw only happens for
-            # branches, exactly like the reference's short-circuit.
-            if draw >= branch_cut:
-                # ALU op.
-                code_address = code_base + pc * block_bytes
-                value = floats[cursor]
-                cursor += 2
-                if value < 1.0 / 16.0:
-                    pc = (pc + 1) % code_blocks
-                op = new_op(micro_op)
-                set_dict(
-                    op,
-                    "__dict__",
-                    {
-                        "op_id": op_id,
-                        "kind": alu,
-                        "sources": (src0,) if src1 < 0 else (src0, src1),
-                        "dest": dest,
-                        "address": None,
-                        "mispredicted": False,
-                        "code_address": code_address,
-                        "taken": None,
-                        "branch_target": None,
-                    },
-                )
-                append_dest(dest)
-            elif draw < mem_fraction:
-                code_address = code_base + pc * block_bytes
-                value = floats[cursor]
-                cursor += 2
-                if value < 1.0 / 16.0:
-                    pc = (pc + 1) % code_blocks
-                value = floats[cursor]
-                cursor += 2
-                is_load = value < 0.7
-                # _address: hot-set re-touch or cold sweep.
-                address = -1
-                if hot:
-                    value = floats[cursor]
-                    cursor += 2
-                    if value > l1_miss_rate:
-                        # choice(hot): _randbelow(len(hot)).
-                        size = len(hot)
-                        shift = 53 - size.bit_length()
-                        pick = int(floats[cursor] * 9007199254740992.0) >> shift
-                        cursor += 1
-                        while pick >= size:
-                            pick = int(floats[cursor] * 9007199254740992.0) >> shift
-                            cursor += 1
-                        address = hot[pick]
-                if address < 0:
-                    # _cold_address: working-set sweep or streaming.
-                    value = floats[cursor]
-                    cursor += 2
-                    cumulative = 0.0
-                    previous_fraction = 0.0
-                    base = 0
-                    for index, (_size_kb, fraction) in enumerate(working_set):
-                        cumulative += fraction - previous_fraction
-                        if value < cumulative:
-                            blocks = region_blocks[index]
-                            position = sweep[index]
-                            sweep[index] = (position + 1) % blocks
-                            address = base + position * block_bytes
-                            break
-                        previous_fraction = fraction
-                        base += 1 << 30
-                    else:
-                        block = int(floats[cursor] * 9007199254740992.0) >> 30
-                        cursor += 1
-                        while block >= streaming_blocks:
-                            block = int(floats[cursor] * 9007199254740992.0) >> 30
-                            cursor += 1
-                        address = (1 << 34) + block * block_bytes
-                    hot.append(address)
-                    if len(hot) > hot_cap:
-                        del hot[0]
-                if is_load:
-                    op = new_op(micro_op)
-                    set_dict(
-                        op,
-                        "__dict__",
-                        {
-                            "op_id": op_id,
-                            "kind": load,
-                            "sources": (src0,),
-                            "dest": dest,
-                            "address": address,
-                            "mispredicted": False,
-                            "code_address": code_address,
-                            "taken": None,
-                            "branch_target": None,
-                        },
-                    )
-                    append_dest(dest)
-                else:
-                    op = new_op(micro_op)
-                    set_dict(
-                        op,
-                        "__dict__",
-                        {
-                            "op_id": op_id,
-                            "kind": store,
-                            "sources": (src0,) if src1 < 0 else (src0, src1),
-                            "dest": None,
-                            "address": address,
-                            "mispredicted": False,
-                            "code_address": code_address,
-                            "taken": None,
-                            "branch_target": None,
-                        },
-                    )
-                    append_dest(None)
-            else:
-                # Branch: a taken branch may jump the PC before the
-                # code address is formed (_code_address).
-                value = floats[cursor]
-                cursor += 2
-                if value < 0.6:
-                    pc = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                    cursor += 1
-                    while pc >= code_blocks:
-                        pc = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                        cursor += 1
-                code_address = code_base + pc * block_bytes
-                value = floats[cursor]
-                cursor += 2
-                if value < 1.0 / 16.0:
-                    pc = (pc + 1) % code_blocks
-                # _branch_behaviour: first visit fixes bias + target.
-                branch_bias = bias.get(code_address)
-                if branch_bias is None:
-                    value = floats[cursor]
-                    cursor += 2
-                    branch_bias = 0.5 if value < hard_fraction else 0.97
-                    bias[code_address] = branch_bias
-                    block = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                    cursor += 1
-                    while block >= code_blocks:
-                        block = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                        cursor += 1
-                    branch_target[code_address] = (
-                        code_base + block * block_bytes
-                    )
-                value = floats[cursor]
-                cursor += 2
-                taken = value < branch_bias
-                value = floats[cursor]
-                cursor += 2
-                op = new_op(micro_op)
-                set_dict(
-                    op,
-                    "__dict__",
-                    {
-                        "op_id": op_id,
-                        "kind": branch,
-                        "sources": (src0,),
-                        "dest": None,
-                        "address": None,
-                        "mispredicted": value < mispredict_rate,
-                        "code_address": code_address,
-                        "taken": taken,
-                        "branch_target": branch_target[code_address],
-                    },
-                )
-                append_dest(None)
-            append_op(op)
-        stream.cursor = cursor
-        self._sweep_position[:] = sweep
-        self._branch_bias.update(bias)
-        self._branch_target.update(branch_target)
-        return ops, pc, hot
 
     def generate_arrays(self, count: int) -> TraceArrays:
         """Generate ``count`` micro-ops directly as :class:`TraceArrays`.
 
         Semantically identical to ``TraceArrays.from_ops(self.generate
         (count))`` — same RNG draw sequence, same generator state
-        afterwards — but the FAST path decodes straight into columns,
-        skipping :class:`MicroOp` construction entirely.  This is the
-        entry the batch cycle tier uses, where per-object overhead
-        would dominate the whole run.
+        afterwards.  With FAST on and the compiled kernel loaded it
+        decodes straight into columns without building any
+        :class:`MicroOp`; this is the entry the batch cycle tier uses.
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        if perf.FAST:
-            return self._generate_arrays_fast(count)
+        core = native.batch_core() if perf.FAST else None
+        if (
+            core is not None
+            and self._code_blocks <= _NATIVE_MAX_CODE_BLOCKS
+            and self.num_registers.bit_length() <= 32
+        ):
+            return self._generate_native(core, count)
         return TraceArrays.from_ops(self._generate_reference(count))
 
-    def _generate_arrays_fast(self, count: int) -> TraceArrays:
-        """FAST twin of the ``from_ops``-over-reference path.
+    def _native_params(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The decoder's float and integer parameter blocks."""
+        phase = self.phase
+        # Summed share by share, exactly as ``_cold_address`` does.
+        fractions = [fraction for _size_kb, fraction in phase.working_set]
+        shares = [now - before for now, before in zip(fractions, [0.0, *fractions])]
+        fparams = np.array(
+            [
+                1.0 / (max(phase.ilp, 1.0) + 1.0),
+                phase.mem_refs_per_inst,
+                phase.mem_refs_per_inst + phase.branch_fraction,
+                phase.l1_miss_rate,
+                phase.mispredict_rate,
+                self._hard_fraction,
+                *accumulate(shares),
+            ],
+            dtype=np.float64,
+        )
+        iparams = np.array(
+            [
+                self.num_registers,
+                self._code_blocks,
+                len(phase.working_set),
+                *(
+                    max(size_kb * 1024 // _BLOCK_BYTES, 1)
+                    for size_kb, _fraction in phase.working_set
+                ),
+            ],
+            dtype=np.int64,
+        )
+        return fparams, iparams
 
-        Mirrors :meth:`_generate_fast`'s state handling exactly: decode
-        from a synced word stream, write back PC / hot set / RNG state
-        only on success, fall back to the scalar path when one op
-        overruns the refill margin.
+    def _native_state(self) -> Tuple[np.ndarray, ...]:
+        """Fresh copies of the generator state in the decoder's layout:
+        (scalars, hot set, sweep positions, bias codes, targets, log of
+        newly seen code blocks)."""
+        state = np.array([self._pc, len(self._hot_blocks), 0], dtype=np.int64)
+        hot = np.zeros(_HOT_SET_BLOCKS, dtype=np.int64)
+        hot[: len(self._hot_blocks)] = list(self._hot_blocks)
+        sweep = np.array(self._sweep_position, dtype=np.int64)
+        bias = np.zeros(self._code_blocks, dtype=np.int8)
+        target = np.zeros(self._code_blocks, dtype=np.int64)
+        if self._branch_bias:
+            blocks = [
+                (address - _CODE_BASE) // _BLOCK_BYTES
+                for address in self._branch_bias
+            ]
+            bias[blocks] = list(self._branch_bias.values())
+            target[blocks] = [
+                self._branch_target[address] for address in self._branch_bias
+            ]
+        first_seen = np.empty(self._code_blocks, dtype=np.int64)
+        return state, hot, sweep, bias, target, first_seen
+
+    def _generate_native(self, core, count: int) -> TraceArrays:
+        """Decode ``count`` ops through ``repro_decode_trace``.
+
+        The decoder works on copies of the generator state; they, and
+        the RNG, are written back only once a decode fits its word
+        buffer (an overrun retries from the start with twice the
+        words).
         """
-        stream = _WordStream(self.rng.getstate())
-        try:
-            columns, pc, hot = self._decode_fields(count, stream)
-        except IndexError:  # pragma: no cover - needs ~4096-word op
-            return TraceArrays.from_ops(self._generate_reference(count))
+        fparams, iparams = self._native_params()
+        # Output columns, in the decoder's argument order.
+        columns = {
+            "kinds": np.empty(count, dtype=np.int8),
+            "sources": np.empty((count, 2), dtype=np.int64),
+            "dests": np.empty(count, dtype=np.int64),
+            "addresses": np.empty(count, dtype=np.int64),
+            "mispredicted": np.empty(count, dtype=np.bool_),
+            "code_addresses": np.empty(count, dtype=np.int64),
+            "taken": np.empty(count, dtype=np.int8),
+            "branch_targets": np.empty(count, dtype=np.int64),
+        }
+        start = self.rng.getstate()
+        budget = _word_budget(count, self.phase.ilp)
+        used = -1
+        while used < 0:
+            stream = _WordStream(start, budget)
+            tables = self._native_state()
+            used = core.decode_trace(
+                count, stream.words, fparams, iparams, *tables, *columns.values()
+            )
+            budget *= 2
+        stream.cursor = used
+        state, hot, sweep, bias, target, first_seen = tables
+        pc, hot_len, seen = state.tolist()
         self._pc = pc
         self._hot_blocks.clear()
-        self._hot_blocks.extend(hot)
+        self._hot_blocks.extend(hot[:hot_len].tolist())
+        self._sweep_position[:] = sweep.tolist()
+        new_blocks = first_seen[:seen]
+        for block, code, branch_target in zip(
+            new_blocks.tolist(),
+            bias[new_blocks].tolist(),
+            target[new_blocks].tolist(),
+        ):
+            address = _CODE_BASE + block * _BLOCK_BYTES
+            self._branch_bias[address] = code
+            self._branch_target[address] = branch_target
         stream.resync(self.rng)
-        (kinds, src0, src1, dest, addr, mis, code, taken, target) = columns
-        # ``from_ops`` sizes the source matrix to the widest op, so the
-        # fast path must shrink to one column when no op drew a second
-        # source (possible for tiny counts).
-        if max(src1) >= 0:
-            sources = np.stack(
-                [
-                    np.array(src0, dtype=np.int64),
-                    np.array(src1, dtype=np.int64),
-                ],
-                axis=1,
-            )
-        else:
-            sources = np.array(src0, dtype=np.int64).reshape(-1, 1)
-        return TraceArrays(
-            kinds=np.array(kinds, dtype=np.int8),
-            sources=sources,
-            dests=np.array(dest, dtype=np.int64),
-            addresses=np.array(addr, dtype=np.int64),
-            mispredicted=np.array(mis, dtype=np.bool_),
-            code_addresses=np.array(code, dtype=np.int64),
-            taken=np.array(taken, dtype=np.int8),
-            branch_targets=np.array(target, dtype=np.int64),
-        )
-
-    def _decode_fields(self, count: int, stream: _WordStream):
-        """Column-emitting variant of :meth:`_decode_ops`.
-
-        Identical draw-for-draw decode, but each op appends nine scalar
-        column entries (kind code, two sources, dest, address,
-        mispredict, code address, taken, branch target — ``-1`` for
-        ``None``) instead of building a :class:`MicroOp`.  Returns
-        ``(columns, pc, hot)``; state write-back rules match
-        ``_decode_ops``.
-        """
-        phase = self.phase
-        mem_fraction = phase.mem_refs_per_inst
-        branch_cut = mem_fraction + phase.branch_fraction
-        mispredict_rate = phase.mispredict_rate
-        l1_miss_rate = phase.l1_miss_rate
-        num_registers = self.num_registers
-        reg_shift = 53 - num_registers.bit_length()
-        code_blocks = self._code_blocks
-        code_shift = 53 - code_blocks.bit_length()
-        hard_fraction = self._hard_fraction
-        bias = dict(self._branch_bias)
-        branch_target = dict(self._branch_target)
-        sweep = list(self._sweep_position)
-        working_set = phase.working_set
-        region_blocks = [
-            max(size_kb * 1024 // _BLOCK_BYTES, 1)
-            for size_kb, _fraction in working_set
-        ]
-        streaming_blocks = (256 << 20) // _BLOCK_BYTES
-        pc = self._pc
-        hot = list(self._hot_blocks)
-        mean = max(phase.ilp, 1.0)
-        p_geo = 1.0 / (mean + 1.0)
-        code_base = 2 << 40
-        block_bytes = _BLOCK_BYTES
-        hot_cap = _HOT_SET_BLOCKS
-
-        floats = stream.floats
-        cursor = stream.cursor
-        limit = stream.limit
-
-        kinds_col: List[int] = []
-        src0_col: List[int] = []
-        src1_col: List[int] = []
-        dest_col: List[int] = []
-        addr_col: List[int] = []
-        mis_col: List[bool] = []
-        code_col: List[int] = []
-        taken_col: List[int] = []
-        target_col: List[int] = []
-        append_kind = kinds_col.append
-        append_src0 = src0_col.append
-        append_src1 = src1_col.append
-        append_dest = dest_col.append
-        append_addr = addr_col.append
-        append_mis = mis_col.append
-        append_code = code_col.append
-        append_taken = taken_col.append
-        append_target = target_col.append
-
-        for op_id in range(count):
-            if cursor > limit:
-                stream.cursor = cursor
-                stream.refill()
-                floats = stream.floats
-                cursor = stream.cursor
-                limit = stream.limit
-            # _dependency_distance: geometric via repeated random().
-            distance = 1
-            value = floats[cursor]
-            cursor += 2
-            while value > p_geo and distance < 64:
-                distance += 1
-                value = floats[cursor]
-                cursor += 2
-            producer = op_id - distance
-            src0 = dest_col[producer] if producer >= 0 else -1
-            if src0 < 0:
-                # randrange(num_registers): top-bits rejection sample.
-                src0 = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                cursor += 1
-                while src0 >= num_registers:
-                    src0 = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                    cursor += 1
-            src1 = -1
-            value = floats[cursor]
-            cursor += 2
-            if value < 0.6:
-                # randint(16, 64) == 16 + _randbelow(49).
-                step = int(floats[cursor] * 9007199254740992.0) >> 47
-                cursor += 1
-                while step >= 49:
-                    step = int(floats[cursor] * 9007199254740992.0) >> 47
-                    cursor += 1
-                stale = op_id - 16 - step
-                back = dest_col[stale] if stale >= 0 else -1
-                if back < 0:
-                    back = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                    cursor += 1
-                    while back >= num_registers:
-                        back = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                        cursor += 1
-                src1 = back
-            dest = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-            cursor += 1
-            while dest >= num_registers:
-                dest = int(floats[cursor] * 9007199254740992.0) >> reg_shift
-                cursor += 1
-            draw = floats[cursor]
-            cursor += 2
-            # Triage ordered by frequency, exactly like _decode_ops.
-            if draw >= branch_cut:
-                # ALU op.
-                code_address = code_base + pc * block_bytes
-                value = floats[cursor]
-                cursor += 2
-                if value < 1.0 / 16.0:
-                    pc = (pc + 1) % code_blocks
-                append_kind(0)
-                append_src0(src0)
-                append_src1(src1)
-                append_dest(dest)
-                append_addr(-1)
-                append_mis(False)
-                append_code(code_address)
-                append_taken(-1)
-                append_target(-1)
-            elif draw < mem_fraction:
-                code_address = code_base + pc * block_bytes
-                value = floats[cursor]
-                cursor += 2
-                if value < 1.0 / 16.0:
-                    pc = (pc + 1) % code_blocks
-                value = floats[cursor]
-                cursor += 2
-                is_load = value < 0.7
-                # _address: hot-set re-touch or cold sweep.
-                address = -1
-                if hot:
-                    value = floats[cursor]
-                    cursor += 2
-                    if value > l1_miss_rate:
-                        # choice(hot): _randbelow(len(hot)).
-                        size = len(hot)
-                        shift = 53 - size.bit_length()
-                        pick = int(floats[cursor] * 9007199254740992.0) >> shift
-                        cursor += 1
-                        while pick >= size:
-                            pick = int(floats[cursor] * 9007199254740992.0) >> shift
-                            cursor += 1
-                        address = hot[pick]
-                if address < 0:
-                    # _cold_address: working-set sweep or streaming.
-                    value = floats[cursor]
-                    cursor += 2
-                    cumulative = 0.0
-                    previous_fraction = 0.0
-                    base = 0
-                    for index, (_size_kb, fraction) in enumerate(working_set):
-                        cumulative += fraction - previous_fraction
-                        if value < cumulative:
-                            blocks = region_blocks[index]
-                            position = sweep[index]
-                            sweep[index] = (position + 1) % blocks
-                            address = base + position * block_bytes
-                            break
-                        previous_fraction = fraction
-                        base += 1 << 30
-                    else:
-                        block = int(floats[cursor] * 9007199254740992.0) >> 30
-                        cursor += 1
-                        while block >= streaming_blocks:
-                            block = int(floats[cursor] * 9007199254740992.0) >> 30
-                            cursor += 1
-                        address = (1 << 34) + block * block_bytes
-                    hot.append(address)
-                    if len(hot) > hot_cap:
-                        del hot[0]
-                if is_load:
-                    append_kind(1)
-                    append_src0(src0)
-                    append_src1(-1)
-                    append_dest(dest)
-                else:
-                    append_kind(2)
-                    append_src0(src0)
-                    append_src1(src1)
-                    append_dest(-1)
-                append_addr(address)
-                append_mis(False)
-                append_code(code_address)
-                append_taken(-1)
-                append_target(-1)
-            else:
-                # Branch: a taken branch may jump the PC before the
-                # code address is formed (_code_address).
-                value = floats[cursor]
-                cursor += 2
-                if value < 0.6:
-                    pc = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                    cursor += 1
-                    while pc >= code_blocks:
-                        pc = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                        cursor += 1
-                code_address = code_base + pc * block_bytes
-                value = floats[cursor]
-                cursor += 2
-                if value < 1.0 / 16.0:
-                    pc = (pc + 1) % code_blocks
-                # _branch_behaviour: first visit fixes bias + target.
-                branch_bias = bias.get(code_address)
-                if branch_bias is None:
-                    value = floats[cursor]
-                    cursor += 2
-                    branch_bias = 0.5 if value < hard_fraction else 0.97
-                    bias[code_address] = branch_bias
-                    block = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                    cursor += 1
-                    while block >= code_blocks:
-                        block = int(floats[cursor] * 9007199254740992.0) >> code_shift
-                        cursor += 1
-                    branch_target[code_address] = (
-                        code_base + block * block_bytes
-                    )
-                value = floats[cursor]
-                cursor += 2
-                taken = value < branch_bias
-                value = floats[cursor]
-                cursor += 2
-                append_kind(3)
-                append_src0(src0)
-                append_src1(-1)
-                append_dest(-1)
-                append_addr(-1)
-                append_mis(value < mispredict_rate)
-                append_code(code_address)
-                append_taken(1 if taken else 0)
-                append_target(branch_target[code_address])
-        stream.cursor = cursor
-        self._sweep_position[:] = sweep
-        self._branch_bias.update(bias)
-        self._branch_target.update(branch_target)
-        columns = (
-            kinds_col,
-            src0_col,
-            src1_col,
-            dest_col,
-            addr_col,
-            mis_col,
-            code_col,
-            taken_col,
-            target_col,
-        )
-        return columns, pc, hot
+        # ``from_ops`` sizes the source matrix to the widest op, so a
+        # trace where no op drew a second source keeps one column.
+        if columns["sources"][:, 1].max() < 0:
+            columns["sources"] = columns["sources"][:, :1]
+        return TraceArrays(**columns)
 
     @staticmethod
     def stats(ops: List[MicroOp]) -> TraceStats:
