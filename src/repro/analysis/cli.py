@@ -264,8 +264,7 @@ def _emit_dataflow_report(
         stream.write(
             f"  {row['path']}:{row['line']}  {row['function']}  "
             f"[{row['kind']}] {row['container']}\n"
-            f"      key:   {', '.join(row['key']) or '-'}"
-            f"{'  (digest-keyed)' if row['digest_keyed'] else ''}\n"
+            f"      key:   {', '.join(row['key']) or '-'}\n"
             f"      reads: {', '.join(row['reads']) or '-'}   {status}\n"
         )
     stream.write(f"streams ({len(streams)}):\n")

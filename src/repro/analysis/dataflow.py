@@ -4,7 +4,7 @@ Every speedup tier in this repo leans on two idioms the per-file rules
 cannot prove correct:
 
 * **value-keyed caches** — the operating-point table LRU, the envelope
-  memo, the shared-memory view cache.
+  memo.
   A cached result keyed on *fewer* inputs than the computation actually
   reads returns stale values for the unkeyed input — silently, and only
   under cache hits, so tests that build fresh state never see it.
@@ -24,11 +24,7 @@ on top of those, four whole-program rules:
     A memoized/cached function (``functools`` caches, module-global
     ``*_CACHE`` dict inserts, self-attribute memos) reads a parameter,
     ``self`` attribute chain, or shared-mutable module global that is
-    not (transitively) folded into its cache key.  Keys that contain a
-    content digest component (``digest``, ``checksum``, ...) delegate
-    key-completeness to the digest construction and are exempt from the
-    parameter check — the digest site itself is an ordinary function
-    whose callers the rule still analyzes.
+    not (transitively) folded into its cache key.
 
 ``rng-stream-shared``
     An RNG stream constructed outside a per-item keyed factory flows
@@ -45,12 +41,11 @@ on top of those, four whole-program rules:
     module counters, and never from loop indices *alone*.
 
 ``schema-drift``
-    A structural fingerprint of every serialized surface (checkpoint
-    payload dataclasses + engine state, the ``.npz`` cache layout, the
-    shared-memory header words) is pinned in a committed
-    ``SCHEMA_FINGERPRINTS.json``.  Changing a field set without bumping
-    the owning ``SCHEMA_VERSION`` constant (and re-pinning via
-    ``repro lint --update-schema``) fails the gate.
+    A structural fingerprint of every serialized surface (today the
+    service checkpoint: payload dataclasses + engine state) is pinned
+    in a committed ``SCHEMA_FINGERPRINTS.json``.  Changing a field set
+    without bumping the surface module's version constant (and
+    re-pinning via ``repro lint --update-schema``) fails the gate.
 
 ``repro lint --dataflow-report`` renders the underlying evidence — the
 per-cache key-vs-read-set table and per-stream provenance chains — from
@@ -63,7 +58,6 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -107,13 +101,6 @@ SCHEMA_PIN_FILENAME = "SCHEMA_FINGERPRINTS.json"
 #: Engine switches that select an implementation, never a result value;
 #: reading them inside a memoized function is not a key-coverage gap.
 _SWITCH_NAMES: FrozenSet[str] = frozenset({"FAST", "ENABLED"})
-
-#: A key component whose name declares it a content digest: the digest
-#: construction folds the inputs, so the memo site's parameter check is
-#: delegated to it.
-_DIGEST_KEY_PATTERN = re.compile(
-    r"digest|checksum|sha\d*|fingerprint", re.IGNORECASE
-)
 
 _CACHE_DECORATORS: FrozenSet[str] = frozenset({"lru_cache", "cache"})
 
@@ -190,7 +177,6 @@ class CacheSite:
     anchor: ast.AST
     key_exprs: List[ast.expr] = field(default_factory=list)
     key_deps: FrozenSet[Dep] = frozenset()
-    digest_keyed: bool = False
     read_params: Tuple[str, ...] = ()
     missing: Tuple[str, ...] = ()
     """Rendered inputs the function reads but its key never covers."""
@@ -414,18 +400,6 @@ class DataflowView:
         for expr in site.key_exprs:
             deps.update(expr_deps(expr, summary, self.graph, self.return_deps))
         site.key_deps = frozenset(deps)
-        site.digest_keyed = any(
-            dep.kind == "param"
-            and (
-                _DIGEST_KEY_PATTERN.search(dep.name)
-                or any(_DIGEST_KEY_PATTERN.search(part) for part in dep.chain)
-            )
-            for dep in deps
-        ) or any(
-            dep.kind in {"global", "unknown"}
-            and _DIGEST_KEY_PATTERN.search(dep.name)
-            for dep in deps
-        )
         implicit_first = (
             summary.params[0]
             if _is_method(summary) and summary.params
@@ -445,16 +419,13 @@ class DataflowView:
             covered = {
                 dep.name for dep in site.key_deps if dep.kind == "param"
             }
-            if not site.digest_keyed:
-                missing.extend(
-                    name for name in site.read_params if name not in covered
-                )
-                if implicit_first is not None and not site.container.startswith(
-                    "self."
-                ):
-                    missing.extend(
-                        self._unkeyed_self_chains(site, implicit_first)
-                    )
+            missing.extend(
+                name for name in site.read_params if name not in covered
+            )
+            if implicit_first is not None and not site.container.startswith(
+                "self."
+            ):
+                missing.extend(self._unkeyed_self_chains(site, implicit_first))
             if site.kind == "memo":
                 missing.extend(self._unkeyed_global_reads(site, module))
         site.missing = tuple(dict.fromkeys(missing))
@@ -919,11 +890,14 @@ class SeedDerivationRule(ProgramRule):
 
 @dataclass(frozen=True)
 class SchemaSurface:
-    """One serialized surface whose structure is pinned."""
+    """One serialized surface whose structure is pinned.
+
+    The surface's module declares its own version constant,
+    ``version_name``.
+    """
 
     name: str
     module_suffix: str
-    version_module_suffix: str
     version_name: str
 
 
@@ -931,20 +905,7 @@ SCHEMA_SURFACES: Tuple[SchemaSurface, ...] = (
     SchemaSurface(
         name="service-checkpoint",
         module_suffix="cloud.service",
-        version_module_suffix="cloud.service",
         version_name="CHECKPOINT_SCHEMA",
-    ),
-    SchemaSurface(
-        name="optable-npz",
-        module_suffix="sim.optstore",
-        version_module_suffix="cacheconf",
-        version_name="SCHEMA_VERSION",
-    ),
-    SchemaSurface(
-        name="optable-shm-header",
-        module_suffix="sim.optstore",
-        version_module_suffix="cacheconf",
-        version_name="SCHEMA_VERSION",
     ),
 )
 
@@ -1042,87 +1003,7 @@ def _surface_structure(
             },
             "engine_state": _init_state_attrs(tree, "ServiceEngine"),
         }
-    if surface.name == "optable-npz":
-        arrays: Set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (
-                func.attr
-                if isinstance(func, ast.Attribute)
-                else func.id
-                if isinstance(func, ast.Name)
-                else None
-            )
-            if name in {"savez", "savez_compressed"}:
-                splats: Set[str] = set()
-                for keyword in node.keywords:
-                    if keyword.arg is not None:
-                        arrays.add(keyword.arg)
-                    elif isinstance(keyword.value, ast.Name):
-                        splats.add(keyword.value.id)
-                if splats:
-                    arrays.update(_dict_string_keys(tree, splats))
-        return {"arrays": sorted(arrays)}
-    if surface.name == "optable-shm-header":
-        words: Dict[str, int] = {}
-        for statement in tree.body:
-            if not isinstance(statement, ast.Assign):
-                continue
-            for target in statement.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and (
-                        target.id.startswith("_W_")
-                        or target.id.startswith("_SEG_")
-                        or target.id in {"_HEADER_WORDS"}
-                    )
-                    and isinstance(statement.value, ast.Constant)
-                    and isinstance(statement.value.value, int)
-                ):
-                    words[target.id] = statement.value.value
-        return {"words": dict(sorted(words.items()))}
     raise ValueError(f"unknown schema surface {surface.name!r}")
-
-
-def _dict_string_keys(tree: ast.Module, names: Set[str]) -> Set[str]:
-    """String keys statically visible in dicts splatted into ``savez``.
-
-    Covers the two shapes the store uses: a dict-literal assignment
-    (``arrays = {"speedups": ...}``) and keyed inserts
-    (``arrays["hull"] = ...``) anywhere in the module.
-    """
-    keys: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-            value: Optional[ast.expr] = node.value
-        elif isinstance(node, ast.Assign):
-            targets = list(node.targets)
-            value = node.value
-        else:
-            continue
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id in names
-                and isinstance(value, ast.Dict)
-            ):
-                for key in value.keys:
-                    if isinstance(key, ast.Constant) and isinstance(
-                        key.value, str
-                    ):
-                        keys.add(key.value)
-            elif (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Name)
-                and target.value.id in names
-                and isinstance(target.slice, ast.Constant)
-                and isinstance(target.slice.value, str)
-            ):
-                keys.add(target.slice.value)
-    return keys
 
 
 def _fingerprint(structure: Dict[str, object]) -> str:
@@ -1151,14 +1032,9 @@ def compute_schema_surfaces(
     surfaces: Dict[str, Dict[str, object]] = {}
     for surface in SCHEMA_SURFACES:
         context = _find_context_by_suffix(contexts, surface.module_suffix)
-        version_context = _find_context_by_suffix(
-            contexts, surface.version_module_suffix
-        )
-        if context is None or version_context is None:
+        if context is None:
             continue
-        version, _ = _module_constant(
-            version_context.tree, surface.version_name
-        )
+        version, _ = _module_constant(context.tree, surface.version_name)
         structure = _surface_structure(surface, context)
         surfaces[surface.name] = {
             "schema_version": version,
@@ -1186,8 +1062,8 @@ class SchemaDriftRule(ProgramRule):
 
     id = "schema-drift"
     description = (
-        "a serialized surface (checkpoint dataclasses, .npz layout, shm "
-        "header) changed without bumping its SCHEMA_VERSION and "
+        "a serialized surface (the service checkpoint's dataclasses and "
+        "engine state) changed without bumping its schema version and "
         "re-pinning SCHEMA_FINGERPRINTS.json"
     )
 
@@ -1229,16 +1105,12 @@ class SchemaDriftRule(ProgramRule):
             )
             if context is None:
                 continue
-            version_context = _find_context_by_suffix(
-                contexts, surface.version_module_suffix
+            _, version_node = _module_constant(
+                context.tree, surface.version_name
             )
-            anchor: ast.AST = context.tree
-            if version_context is context:
-                _, version_node = _module_constant(
-                    context.tree, surface.version_name
-                )
-                if version_node is not None:
-                    anchor = version_node
+            anchor: ast.AST = (
+                context.tree if version_node is None else version_node
+            )
             entry = current[name]
             pin = pinned.get(name) if pinned is not None else None
             if pin is None:
@@ -1332,7 +1204,6 @@ def dataflow_report(contexts: Sequence[FileContext]) -> Dict[str, object]:
                     if dep.kind in {"param", "global"}
                 ),
                 "reads": list(site.read_params),
-                "digest_keyed": site.digest_keyed,
                 "missing": list(site.missing),
             }
         )

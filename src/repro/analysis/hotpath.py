@@ -1,7 +1,7 @@
 """Hot-path performance rules: the complexity tier of ``repro lint``.
 
 PRs 3-6 bought the engine its headline wins (provider loop ~20x, cycle
-tier ~13x, disk-warm restarts ~4.7x), but nothing guarded those wins
+tier ~13x), but nothing guarded those wins
 statically: the O(n^2) ``list.pop(0)`` arrival drain fixed in PR 3 and
 the per-cycle ``sorted(...)`` window scan removed in PR 4 are exactly
 the regressions a future PR could silently reintroduce.  This module
@@ -12,7 +12,7 @@ the PR 5 call graph, plus four rules that only fire inside the hot set.
 graph from a FAST engine entrypoint (:data:`HOT_ENTRYPOINTS` — the
 sweep workers, the event-driven cycle tier, the provider loop, the
 always-on service loop and its traffic generator, the trace generator,
-the operating-point build/publish paths) or from any
+the operating-point table lookup) or from any
 function containing a ``perf.FAST`` split.  Two exemptions keep the
 scalar references out by construction:
 
@@ -103,10 +103,6 @@ HOT_ENTRYPOINTS: Tuple[Tuple[str, str], ...] = (
     ("sim.trace", "TraceGenerator.generate"),
     ("sim.trace", "TraceGenerator.generate_arrays"),
     ("sim.optables", "operating_point_table"),
-    ("sim.optables", "ensure_surface"),
-    ("sim.optstore", "publish"),
-    ("sim.optstore", "attach"),
-    ("sim.optstore", "build_guard"),
 )
 
 #: Call-expression names that produce a plain list.

@@ -9,9 +9,6 @@ Usage::
     python -m repro figure service --jobs 4
     python -m repro figure tiers --jobs 4
     python -m repro sweep --seeds 0 1 2 --jobs 8
-    python -m repro cache info
-    python -m repro cache warm --jobs 8 --cache-dir /tmp/optables
-    python -m repro cache clear
     python -m repro export --outdir data/
     python -m repro overheads
     python -m repro lint --format json
@@ -20,12 +17,6 @@ Usage::
 ``.tsv`` series; ``sweep`` runs the full (app × allocator × seed) grid
 in parallel and records the timing in ``BENCH_PERF.json``.  Cells are
 independently seeded, so ``--jobs`` never changes any result.
-``cache`` manages the tiered operating-point store: ``info`` prints
-per-tier statistics, ``warm`` pre-publishes phase surfaces into the
-shared tiers (pair with ``--cache-dir`` or ``REPRO_CACHE_DIR`` to
-persist them on disk), ``clear`` drops every tier.  ``sweep`` and the
-multi-cell figures accept ``--cache-dir`` too and report per-tier
-hit/miss/build counters next to their wall-clock timing.
 ``lint`` runs the domain-aware static-analysis suite
 (:mod:`repro.analysis`) — including the whole-program shared-state
 rules and the hot-path performance rules scoped to the FAST-engine
@@ -91,32 +82,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_cache_dir(args: argparse.Namespace) -> None:
-    """Honor ``--cache-dir`` before any engine code runs."""
-    if getattr(args, "cache_dir", None) is not None:
-        from repro import cacheconf
-
-        cacheconf.set_cache_dir(args.cache_dir)
-
-
-def _store_summary(stats) -> str:
-    """One printable line of per-tier hit/miss/build counters."""
-    fleet = stats["fleet"]
-    line = (
-        f"optable store: "
-        f"L1 {fleet['l1_hits']}h/{fleet['l1_misses']}m | "
-        f"L2 shm {fleet['l2_hits']}h/{fleet['l2_misses']}m | "
-        f"L3 disk {fleet['l3_hits']}h/{fleet['l3_misses']}m | "
-        f"{fleet['builds']} build(s)"
-    )
-    disk = stats["disk"]
-    if disk["enabled"]:
-        line += f" | disk cache {disk['files']} file(s) in {disk['dir']}"
-    return line
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
-    _apply_cache_dir(args)
     name = args.name
     if name == "fig1":
         from repro.arch.vcore import DEFAULT_CONFIG_SPACE
@@ -164,7 +130,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             f"{timing['wall_seconds']:.2f}s with {timing['jobs']} job(s); "
             f"timing recorded in {path}"
         )
-        print(_store_summary(timing["optable_store"]))
     elif name == "service":
         from repro.experiments.report import service_table
         from repro.experiments.scenarios import service_grid
@@ -182,7 +147,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             f"({timing['tenant_intervals_per_second']} tenant-intervals/s); "
             f"timing recorded in {path}"
         )
-        print(_store_summary(timing["optable_store"]))
     elif name == "tiers":
         from repro.experiments.report import tier_table
         from repro.experiments.scenarios import tier_agreement_grid
@@ -229,7 +193,6 @@ def _cmd_overheads(_args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.stats import record_bench_perf, sweep
 
-    _apply_cache_dir(args)
     apps = args.apps or list(APP_NAMES)
     kinds = args.allocators or [kind for kind, _ in ALLOCATOR_KINDS]
     results, timing = sweep(
@@ -254,45 +217,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{timing['wall_seconds']:.2f}s with {timing['jobs']} job(s) "
         f"({timing['cells_per_second']:.2f} cells/s)"
     )
-    print(_store_summary(timing["optable_store"]))
     path = record_bench_perf("sweep", timing, path=args.bench_out)
     print(f"timing recorded in {path}")
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import cacheconf
-    from repro.sim import optstore
-    from repro.sim.optables import cache_clear, optable_cache_stats
-
-    _apply_cache_dir(args)
-    if args.action == "info":
-        print(json.dumps(optable_cache_stats(), indent=2, sort_keys=True))
-        return 0
-    if args.action == "clear":
-        cache_clear()
-        optstore.destroy()
-        removed = optstore.disk_clear()
-        root = cacheconf.cache_dir()
-        suffix = f" under {root}" if root is not None else ""
-        print(
-            f"cleared L1 tables and the shared store; "
-            f"removed {removed} disk entr"
-            f"{'y' if removed == 1 else 'ies'}{suffix}"
-        )
-        return 0
-    from repro.experiments.stats import warm_surface_grid
-
-    apps = args.apps or list(APP_NAMES)
-    _, timing = warm_surface_grid(apps, jobs=args.jobs)
-    print(
-        f"warmed {timing['surfaces']} phase surfaces for "
-        f"{len(apps)} app(s) in {timing['wall_seconds']:.2f}s "
-        f"with {timing['jobs']} job(s)"
-    )
-    print(_store_summary(timing["optable_store"]))
     return 0
 
 
@@ -374,16 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: all CPUs)",
     )
     sweep_parser.add_argument("--bench-out", default="BENCH_PERF.json")
-    sweep_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk optable cache root (overrides REPRO_CACHE_DIR)",
-    )
-    figure_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk optable cache root (overrides REPRO_CACHE_DIR)",
-    )
     figure_parser.add_argument(
         "--batch",
         action=argparse.BooleanOptionalAction,
@@ -393,29 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
             "struct-of-arrays batch tier (tiers figure only); "
             "--no-batch dispatches each cell singly"
         ),
-    )
-
-    cache_parser = sub.add_parser(
-        "cache", help="inspect, warm, or clear the operating-point store"
-    )
-    cache_parser.add_argument("action", choices=("info", "warm", "clear"))
-    cache_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk optable cache root (overrides REPRO_CACHE_DIR)",
-    )
-    cache_parser.add_argument(
-        "--apps",
-        nargs="+",
-        choices=APP_NAMES,
-        default=None,
-        help="applications to warm (default: all)",
-    )
-    cache_parser.add_argument(
-        "--jobs",
-        type=_job_count,
-        default=1,
-        help="worker processes for cache warm",
     )
 
     sub.add_parser("overheads", help="Section VI-A overhead microbenchmarks")
@@ -448,7 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": _cmd_run,
         "figure": _cmd_figure,
         "sweep": _cmd_sweep,
-        "cache": _cmd_cache,
         "overheads": _cmd_overheads,
         "export": _cmd_export,
         "lint": _cmd_lint,

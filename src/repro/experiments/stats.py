@@ -22,14 +22,11 @@ Provider timings land in ``BENCH_CLOUD.json``
 (:func:`record_bench_cloud`) next to the engine's ``BENCH_PERF.json``.
 
 Worker processes are configured exactly once, by the pool
-``initializer`` (:func:`_worker_setup`): the FAST switch, the
-sanitizer flag, the disk-cache root and the shared operating-point
-store handle all travel through its arguments, so no per-cell code
+``initializer`` (:func:`_worker_setup`): the FAST switch and the
+sanitizer flag travel through its arguments, so no per-cell code
 re-derives process state and fork and spawn start methods behave
-identically.  With the fast paths on, ``run_cells`` stands up the
-cross-process store (:func:`repro.sim.optstore.ensure`) before the
-pool starts, so every worker attaches to one shared table tier and
-each (phase-key, grid) table is built exactly once fleet-wide.
+identically.  Each worker keeps its own operating-point table cache
+(:mod:`repro.sim.optables`); nothing is shared between processes.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import cacheconf, perf
+from repro import perf
 from repro.analysis import sanitize
 from repro.arch.vcore import VCoreConfig
 from repro.cloud.traffic import TrafficSpec
@@ -55,14 +52,12 @@ from repro.experiments.scenarios import (
     run_service_cell,
     run_tier_batch,
     run_tier_cell,
-    warm_app_surfaces,
 )
 
 try:  # POSIX advisory file locks guard the bench-report merge.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX hosts
     fcntl = None  # type: ignore[assignment]
-from repro.sim import optstore
 
 
 @dataclass(frozen=True)
@@ -168,22 +163,6 @@ class TierCellSpec:
 
 
 @dataclass(frozen=True)
-class WarmCellSpec:
-    """One cache warm-up cell: pre-publish every phase surface of one
-    application over one configuration space into the shared tiers.
-
-    Unlike the run specs this produces no report — its result is a
-    tuple of ``(phase_name, digest, fingerprint)`` triples naming what
-    is now warm, which warm sweeps compare bit-for-bit across cold and
-    warm passes.  ``None`` grid axes mean the default space.
-    """
-
-    app_name: str
-    slice_counts: Optional[Tuple[int, ...]] = None
-    l2_sizes_kb: Optional[Tuple[int, ...]] = None
-
-
-@dataclass(frozen=True)
 class TierBatchSpec:
     """A worker-sized batch of tier cells for the struct-of-arrays tier.
 
@@ -224,7 +203,6 @@ AnyCellSpec = Union[
     ServiceCellSpec,
     TierCellSpec,
     TierBatchSpec,
-    WarmCellSpec,
 ]
 
 
@@ -243,12 +221,6 @@ def run_cell(spec: AnyCellSpec):
             fabric_width=spec.fabric_width,
             fabric_height=spec.fabric_height,
             arrival_stride=spec.arrival_stride,
-        )
-    if isinstance(spec, WarmCellSpec):
-        return warm_app_surfaces(
-            spec.app_name,
-            slice_counts=spec.slice_counts,
-            l2_sizes_kb=spec.l2_sizes_kb,
         )
     if isinstance(spec, TierCellSpec):
         return run_tier_cell(
@@ -272,25 +244,16 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_setup(
-    fast: bool,
-    sanitize_enabled: bool,
-    cache_root: Optional[str],
-    store: Optional[optstore.StoreHandle],
-) -> None:
+def _worker_setup(fast: bool, sanitize_enabled: bool) -> None:
     """Pool initializer: configure a worker once, not once per cell.
 
     Everything a cell's engine behaviour depends on travels here
-    explicitly — the FAST switch, the sanitizer flag, the disk-cache
-    root and the shared-store handle — so a worker is configured
-    exactly like its parent whether the pool forked or spawned it, and
-    no per-cell code re-derives process state.
+    explicitly — the FAST switch and the sanitizer flag — so a worker
+    is configured exactly like its parent whether the pool forked or
+    spawned it, and no per-cell code re-derives process state.
     """
     perf.set_fast_paths(fast)
     sanitize.set_enabled(sanitize_enabled)
-    cacheconf.set_cache_dir(cache_root)
-    if store is not None:
-        optstore.attach(store)
 
 
 def _group_tier_batches(
@@ -379,21 +342,10 @@ def run_cells(
         return flat
     if jobs == 1 or len(specs) <= 1:
         return [run_cell(spec) for spec in specs]
-    # Stand up the cross-process table store before the pool exists so
-    # the initializer can hand every worker the same handle.  (With the
-    # fast paths off the store must stay untouched — reference runs
-    # bypass every cache tier.)
-    store = optstore.ensure() if perf.FAST else None
-    root = cacheconf.cache_dir()
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(specs)),
         initializer=_worker_setup,
-        initargs=(
-            perf.FAST,
-            sanitize.ENABLED,
-            None if root is None else str(root),
-            store,
-        ),
+        initargs=(perf.FAST, sanitize.ENABLED),
     ) as pool:
         return list(pool.map(run_cell, specs))
 
@@ -521,53 +473,7 @@ def sweep(
         "kinds": kind_list,
         "seeds": seed_list,
     }
-    from repro.sim.optables import optable_cache_stats
-
-    timing["optable_store"] = optable_cache_stats()
     return grouped, timing
-
-
-def warm_surface_grid(
-    app_names: Sequence[str],
-    slice_counts: Optional[Tuple[int, ...]] = None,
-    l2_sizes_kb: Optional[Tuple[int, ...]] = None,
-    jobs: Optional[int] = None,
-) -> Tuple[Dict[str, tuple], Dict[str, object]]:
-    """Warm every (application, phase) surface into the shared tiers.
-
-    The pre-heater behind ``repro cache warm`` and the warm-sweep
-    benchmark: each :class:`WarmCellSpec` publishes its app's phase
-    surfaces through :func:`repro.sim.optables.ensure_surface` — no
-    ``ConfigPoint`` construction on already-warm entries — and the
-    surfaces come back as ``(phase_name, digest, fingerprint)``
-    triples, bit-stable across cold and warm passes.  Returns
-    ``(surfaces[app_name], timing)`` with per-tier store counters
-    embedded in ``timing``.
-    """
-    names = list(app_names)
-    specs = [
-        WarmCellSpec(
-            app_name=name,
-            slice_counts=slice_counts,
-            l2_sizes_kb=l2_sizes_kb,
-        )
-        for name in names
-    ]
-    if jobs is None:
-        jobs = default_jobs()
-    start = time.perf_counter()
-    results = run_cells(specs, jobs=jobs)
-    elapsed = time.perf_counter() - start
-    from repro.sim.optables import optable_cache_stats
-
-    timing: Dict[str, object] = {
-        "apps": names,
-        "jobs": jobs,
-        "surfaces": sum(len(result) for result in results),
-        "wall_seconds": round(elapsed, 4),
-        "optable_store": optable_cache_stats(),
-    }
-    return dict(zip(names, results)), timing
 
 
 def record_bench_perf(

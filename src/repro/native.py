@@ -15,10 +15,10 @@ always-runnable twins and bit-identity asserted in tests.  Nothing is
 installed: if no compiler is present (or ``REPRO_NATIVE`` disables the
 core) every caller falls back to the pure-Python path.
 
-Like :mod:`repro.cacheconf`, the host-level switches are read from the
-environment here, once, at the top of the package — the engine
-directories themselves are forbidden from touching ``os.environ`` by
-the ``env-read`` determinism rule:
+The host-level switches are read from the environment here, once, at
+the top of the package — the engine directories themselves are
+forbidden from touching ``os.environ`` by the ``env-read`` determinism
+rule:
 
 * ``REPRO_NATIVE=0|off|none|disabled`` keeps the compiled core off;
 * ``REPRO_NATIVE_DIR=<path>`` overrides where the shared object is

@@ -15,21 +15,12 @@ dataclasses, so value-hashing is exact and safe across instances).
 Tables also memoize their lower convex envelope, so an oracle that
 solves Eqn. 5 on the same phase a thousand times pays for one hull.
 
-This module is the **L1** (front) tier of the three-tier operating-
-point store.  On an L1 miss the lookup consults
-:mod:`repro.sim.optstore`: **L2**, a cross-process read-only shared-
-memory tier whose sealed payloads the rebuilt table's
-``speedup_array`` aliases zero-copy, and **L3**, a content-hash-keyed
-on-disk ``.npz`` cache that additionally persists the default-idle
-envelope hull (see :meth:`OperatingPointTable.prime_envelope`).  Only
-a verified tier miss pays for a build, and the build happens under the
-fleet-wide :func:`repro.sim.optstore.build_guard` so each (phase-key,
-grid) table is constructed exactly once across a whole worker pool.
-:func:`ensure_surface` warms the shared tiers without constructing any
-``ConfigPoint`` at all — the cheap path sweeps use to pre-heat a cache
-directory.  :func:`optable_cache_stats` reports all tiers at once.
+Tables are built on a miss, sealed (:meth:`OperatingPointTable.seal`)
+and kept in one per-process LRU.  Every default surface builds in
+about 0.3 ms, so there is no cross-process or on-disk tier: a pool
+worker simply builds the few surfaces its cells touch.
 
-With :data:`repro.perf.FAST` disabled every tier is bypassed and
+With :data:`repro.perf.FAST` disabled the cache is bypassed and
 tables are rebuilt with the original scalar loop — the reference path
 used by the equivalence tests and the speed benchmarks.
 """
@@ -39,21 +30,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro import cacheconf, perf
+from repro import perf
 from repro.analysis import sanitize
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
-from repro.runtime.optimizer import (
-    ConfigPoint,
-    IDLE_POINT,
-    _lower_hull,
-    compute_envelope,
-)
-from repro.sim import optstore
+from repro.runtime.optimizer import ConfigPoint, IDLE_POINT, compute_envelope
 from repro.sim.perfmodel import PerformanceModel, DEFAULT_PERF_MODEL
 from repro.workloads.phase import Phase
 
@@ -115,34 +100,6 @@ class OperatingPointTable:
             cached = (tuple(hull), MappingProxyType(best_at))
             self._envelopes[key] = cached
         return cached
-
-    def prime_envelope(
-        self, hull: np.ndarray, idle: ConfigPoint = IDLE_POINT
-    ) -> "OperatingPointTable":
-        """Pre-seed the envelope memo from a stored (H, 2) hull array.
-
-        The disk tier persists the default-idle hull next to the
-        speedups, so a warm load skips the monotone-chain rebuild.
-        ``best_at`` is reconstructed with the exact first-wins walk of
-        :func:`~repro.runtime.optimizer.compute_envelope`, and the hull
-        vertices round-trip float64-exactly, so the primed entry is
-        bit-identical to what the lazy computation would produce.
-        Callers only pass checksum-verified stored hulls.
-        """
-        best_at: Dict[Tuple[float, float], ConfigPoint] = {}
-        for point in self.points:
-            pair = (point.speedup, point.cost_rate)
-            if pair not in best_at:
-                best_at[pair] = point
-        idle_pair = (idle.speedup, idle.cost_rate)
-        if idle_pair not in best_at:
-            best_at[idle_pair] = idle
-        key = (idle.config, idle.speedup, idle.cost_rate)
-        vertices = tuple(
-            (float(speedup), float(cost)) for speedup, cost in hull
-        )
-        self._envelopes[key] = (vertices, MappingProxyType(best_at))
-        return self
 
     @property
     def sealed(self) -> bool:
@@ -219,83 +176,6 @@ def _cache_key(
     return (phase, model, space.slice_counts, space.l2_sizes_kb, cost_model)
 
 
-def _grid_values(space: ConfigurationSpace) -> int:
-    return len(space.slice_counts) * len(space.l2_sizes_kb)
-
-
-def _table_from_payload(
-    payload: "optstore.Payload",
-    space: ConfigurationSpace,
-    cost_model: CostModel,
-) -> OperatingPointTable:
-    """Reconstitute a sealed table from a shared-tier surface.
-
-    ``ConfigPoint`` speedups round-trip float64-exactly through the
-    stored array, so the result is bit-identical to the table the
-    publisher built.  A shm payload's view replaces the freshly built
-    ndarray — the table then aliases the shared buffer zero-copy (the
-    view is already read-only; :meth:`~OperatingPointTable.seal` keeps
-    it that way).  A disk payload's hull pre-seeds the envelope memo.
-    """
-    speedups = payload.speedups
-    table = OperatingPointTable(
-        tuple(
-            ConfigPoint(
-                config=config,
-                speedup=float(speedups[index]),
-                cost_rate=config.cost_rate(cost_model),
-            )
-            for index, config in enumerate(space)
-        )
-    )
-    if payload.source == "shm":
-        table.speedup_array = speedups
-    table.seal()
-    if payload.hull is not None:
-        table.prime_envelope(payload.hull)
-    return table
-
-
-def _shared_or_built(
-    key: tuple,
-    phase: Phase,
-    model: PerformanceModel,
-    space: ConfigurationSpace,
-    cost_model: CostModel,
-) -> OperatingPointTable:
-    """Resolve an L1 miss against L2/L3, building only on a full miss.
-
-    The build sits inside :func:`repro.sim.optstore.build_guard` with a
-    post-acquire re-lookup, so while a store is active exactly one
-    process pays for each (phase-key, grid) table and everyone else
-    attaches to its published surface.
-    """
-    values = _grid_values(space)
-    digest = optstore.table_digest(key, values)
-    payload = optstore.lookup(digest, values)
-    if payload is None:
-        with optstore.build_guard():
-            payload = optstore.lookup(digest, values)
-            if payload is None:
-                table = build_table_vectorized(
-                    phase, model, space, cost_model
-                )
-                table.seal()
-                hull, _ = table.envelope()
-                optstore.publish(
-                    digest,
-                    table.speedup_array,
-                    np.array(hull, dtype=np.float64),
-                )
-                if sanitize.ENABLED:
-                    _verify_published(table, site="publish")
-                return table
-    table = _table_from_payload(payload, space, cost_model)
-    if sanitize.ENABLED:
-        _verify_published(table, site=f"{payload.source} attach")
-    return table
-
-
 def operating_point_table(
     phase: Phase,
     model: PerformanceModel = DEFAULT_PERF_MODEL,
@@ -312,69 +192,19 @@ def operating_point_table(
         if table is not None:
             _TABLE_CACHE.move_to_end(key)
             _HITS += 1
-            optstore.bump("l1_hits")
             if sanitize.ENABLED:
                 _verify_published(table, site="cache hit")
             return table
-    table = _shared_or_built(key, phase, model, space, cost_model)
+    table = build_table_vectorized(phase, model, space, cost_model).seal()
+    if sanitize.ENABLED:
+        _verify_published(table, site="publish")
     with _CACHE_LOCK:
         _MISSES += 1
-        optstore.bump("l1_misses")
         _TABLE_CACHE[key] = table
         _TABLE_CACHE.move_to_end(key)
         while len(_TABLE_CACHE) > _TABLE_CACHE_MAXSIZE:
             _TABLE_CACHE.popitem(last=False)
     return table
-
-
-def ensure_surface(
-    phase: Phase,
-    model: PerformanceModel = DEFAULT_PERF_MODEL,
-    space: ConfigurationSpace = DEFAULT_CONFIG_SPACE,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> Tuple[str, str]:
-    """Warm one table surface into the shared tiers, without L1.
-
-    The warm-up path of ``repro cache warm`` and the sweep pre-heater:
-    when the surface is already shared (and, with the disk tier on,
-    carries its stored hull) this verifies and returns immediately —
-    no ``ConfigPoint`` is ever constructed, which is what makes a
-    disk-warm sweep start several times faster than a cold one.  On a
-    miss the speedup grid and default-idle hull are computed directly
-    from the vectorized kernel (bit-identical to the table path: same
-    float64 grid, and the hull depends only on the deduplicated
-    (speedup, cost) pair set that :func:`compute_envelope` uses) and
-    published under the fleet-wide build guard.
-
-    Returns ``(digest, fingerprint)`` — the content digest naming the
-    surface and the sha256 of its payload, stable across cold and warm
-    runs.
-    """
-    key = _cache_key(phase, model, space, cost_model)
-    values = _grid_values(space)
-    digest = optstore.table_digest(key, values)
-    with optstore.build_guard():
-        payload = optstore.lookup(digest, values)
-        if payload is not None and payload.checksum:
-            if payload.hull is not None or cacheconf.cache_dir() is None:
-                return digest, payload.checksum
-            # A shm hit carries no hull; the disk entry (if any) does.
-            stored = optstore.disk_probe(digest, values)
-            if stored is not None and stored.hull is not None:
-                return digest, stored.checksum
-        speedups = model.ipc_grid(phase, space).ravel()
-        costs = tuple(config.cost_rate(cost_model) for config in space)
-        pairs = {
-            (float(speedups[index]), costs[index])
-            for index in range(len(costs))
-        }
-        pairs.add((IDLE_POINT.speedup, IDLE_POINT.cost_rate))
-        hull = _lower_hull(list(pairs))
-        speedups.setflags(write=False)
-        fingerprint = optstore.publish(
-            digest, speedups, np.array(hull, dtype=np.float64)
-        )
-        return digest, fingerprint
 
 
 def _verify_published(table: OperatingPointTable, site: str) -> None:
@@ -412,14 +242,6 @@ def cache_clear() -> None:
 
 
 def optable_cache_stats() -> Dict[str, object]:
-    """Per-tier statistics of the whole operating-point store.
-
-    ``l1`` is this module's LRU (:func:`cache_info`); ``local`` /
-    ``fleet`` are the tier hit/miss/build/byte counters (fleet-summed
-    over every process attached to the shared store); ``shm`` and
-    ``disk`` describe the L2/L3 backings.  This is what ``repro cache
-    info`` prints and what sweep timing summaries embed.
-    """
-    combined: Dict[str, object] = {"l1": cache_info()}
-    combined.update(optstore.stats())
-    return combined
+    """Statistics of the operating-point cache: ``l1`` is
+    :func:`cache_info` of this process's LRU."""
+    return {"l1": cache_info()}

@@ -18,12 +18,10 @@ import pytest
 from repro.analysis import ALL_RULES
 from repro.analysis.core import FileContext, check_program, scan_paths
 from repro.analysis.dataflow import (
-    SCHEMA_SURFACES,
     CacheKeyRule,
     RngStreamRule,
     SchemaDriftRule,
     SeedDerivationRule,
-    _surface_structure,
     dataflow_report,
     write_schema_pins,
 )
@@ -128,7 +126,9 @@ class TestCacheKeyIncomplete:
         assert rules_of(broken) == {"cache-key-incomplete"}
         assert "mode" in broken[0].message
 
-    def test_digest_keyed_publish_is_exempt(self, lint_program):
+    def test_digest_named_key_is_not_exempt(self, lint_program):
+        # A key component named like a digest is no exemption: the
+        # publish also reads ``values``, which the key never covers.
         findings = lint_program(
             {
                 "src/repro/sim/store.py": """
@@ -144,6 +144,30 @@ class TestCacheKeyIncomplete:
 
                 def wrap(view):
                     return view
+                """
+            },
+            rules=["cache-key-incomplete"],
+        )
+        assert rules_of(findings) == {"cache-key-incomplete"}
+        assert "values" in findings[0].message
+
+    def test_digest_computed_from_every_input_is_clean(self, lint_program):
+        findings = lint_program(
+            {
+                "src/repro/sim/store.py": """
+                _VIEW_CACHE = {}
+
+                def attach(name, values):
+                    digest = content_digest(name, values)
+                    view = build_view(name, values)
+                    _VIEW_CACHE[digest] = view
+                    return view
+
+                def content_digest(name, values):
+                    return hash((name, values))
+
+                def build_view(name, values):
+                    return (name, values)
                 """
             },
             rules=["cache-key-incomplete"],
@@ -731,31 +755,6 @@ class TestDataflowReport:
         assert "spec.seed" in stream["seed"]
         assert json.dumps(report)  # JSON-serializable for the artifact
 
-    def test_npz_surface_sees_dict_splat_arrays(self):
-        # The store passes its data arrays to np.savez through a
-        # **arrays splat (annotated dict literal + keyed insert), not
-        # literal keywords; the fingerprint must still cover them.
-        context = FileContext(
-            "src/repro/sim/optstore.py",
-            "import numpy as np\n"
-            "from typing import Dict\n"
-            "\n"
-            "def write(sink, speedups, hull):\n"
-            "    arrays: Dict[str, object] = {'speedups': speedups}\n"
-            "    if hull is not None:\n"
-            "        arrays['hull'] = hull\n"
-            "    np.savez(sink, digest=np.array('d'),\n"
-            "             schema=np.array(1), checksum=np.array('c'),\n"
-            "             **arrays)\n",
-        )
-        (surface,) = [
-            s for s in SCHEMA_SURFACES if s.name == "optable-npz"
-        ]
-        structure = _surface_structure(surface, context)
-        assert structure == {
-            "arrays": ["checksum", "digest", "hull", "schema", "speedups"]
-        }
-
     def test_repo_tip_report_has_no_missing_inputs(self):
         paths = [REPO_ROOT / "src"]
         from repro.analysis.core import load_contexts
@@ -765,11 +764,7 @@ class TestDataflowReport:
         report = dataflow_report(contexts)
         assert report["caches"], "expected the real memo sites"
         assert all(row["missing"] == [] for row in report["caches"])
-        assert set(report["schema"]) == {
-            "service-checkpoint",
-            "optable-npz",
-            "optable-shm-header",
-        }
+        assert set(report["schema"]) == {"service-checkpoint"}
 
 
 class TestAcceptance:

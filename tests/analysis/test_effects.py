@@ -502,8 +502,6 @@ class TestRepoTipIsClean:
         "relative",
         [
             "src/repro/sim/optables.py",
-            "src/repro/sim/optstore.py",
-            "src/repro/cacheconf.py",
             "src/repro/arch/fabric.py",
             "src/repro/experiments/stats.py",
             "src/repro/cloud/provider.py",

@@ -835,7 +835,6 @@ class TestRepoTipIsClean:
         ) in hot
         assert ("repro.cloud.provider", "CloudProvider.run") in hot
         assert ("repro.sim.trace", "TraceGenerator.generate") in hot
-        assert ("repro.sim.optstore", "publish") in hot
         assert ("repro.sim.batchpipe", "run_batch") in hot
         assert (
             "repro.sim.trace",

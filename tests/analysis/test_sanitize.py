@@ -120,7 +120,10 @@ class TestViolationPickling:
         import pickle
 
         original = SanitizerViolation(
-            "shm-attach", "repro.sim.optstore", "attach abc", "bad magic"
+            "cache-publish",
+            "repro.sim.optables.operating_point_table",
+            "cache hit",
+            "table in cache was never sealed",
         )
         clone = pickle.loads(pickle.dumps(original))
         assert isinstance(clone, SanitizerViolation)

@@ -4,12 +4,13 @@ Every cell here is run twice — fast paths on (vectorized kernel,
 memoized tables, incremental envelopes) and off (the seed's scalar
 reference paths) — and must produce *identical* results, record for
 record.  Likewise the sweep executor: job count must be invisible in
-the outputs.
+the outputs, sanitized or not.
 """
 
 import pytest
 
 from repro import perf
+from repro.analysis import sanitize
 from repro.experiments.scenarios import (
     compare_allocators,
     run_app_with_allocator,
@@ -20,6 +21,7 @@ from repro.experiments.stats import (
     run_cells,
     seed_stability_report,
 )
+from repro.sim.optables import cache_clear, cache_info
 
 # One throughput app, one latency app, one phase-heavy app; all four
 # allocator kinds are exercised across the cells.
@@ -116,3 +118,50 @@ class TestParallelVsSerial:
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
             run_cells(self.SPECS, jobs=0)
+
+
+class TestSweepVsReference:
+    """A FAST sweep at any job count reproduces the serial scalar
+    reference record for record; with fast paths off the table cache
+    is never consulted."""
+
+    SPECS = tuple(
+        CellSpec(app_name=app, kind=kind, intervals=30, seed=seed)
+        for app, kind, seed in (
+            ("x264", "cash", 0),
+            ("x264", "optimal", 1),
+            ("apache", "cash", 0),
+        )
+    )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with perf.fast_paths(False):
+            return run_cells(self.SPECS, jobs=1)
+
+    @staticmethod
+    def assert_identical(results, reference):
+        assert len(results) == len(reference)
+        for left, right in zip(results, reference):
+            assert left.app_name == right.app_name
+            assert left.mean_cost_rate == right.mean_cost_rate
+            assert left.cost_dollars == right.cost_dollars
+            assert left.violation_percent == right.violation_percent
+            assert left.records == right.records
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_fast_sweep_matches(self, jobs, reference):
+        cache_clear()
+        with perf.fast_paths(True):
+            self.assert_identical(run_cells(self.SPECS, jobs=jobs), reference)
+
+    def test_sanitized_sweep_matches(self, reference):
+        cache_clear()
+        with perf.fast_paths(True), sanitize.sanitized(True):
+            self.assert_identical(run_cells(self.SPECS, jobs=4), reference)
+
+    def test_fast_off_leaves_cache_empty(self, reference):
+        cache_clear()
+        with perf.fast_paths(False):
+            self.assert_identical(run_cells(self.SPECS, jobs=1), reference)
+        assert cache_info()["size"] == 0

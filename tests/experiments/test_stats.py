@@ -1,8 +1,10 @@
-"""Multi-seed statistics."""
+"""Multi-seed statistics and the sweep executor."""
+
+import os
 
 import pytest
 
-from repro.experiments.stats import Summary, run_across_seeds
+from repro.experiments.stats import CellSpec, Summary, run_across_seeds, run_cells
 
 
 class TestSummary:
@@ -75,3 +77,21 @@ class TestSummaryCoercion:
 
     def test_hashable_after_coercion(self):
         assert hash(Summary(values=[1.0, 2.0])) == hash(Summary(values=(1.0, 2.0)))
+
+
+class TestRunCellsSharesNothing:
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="no /dev/shm on this host"
+    )
+    def test_parallel_sweep_leaves_dev_shm_unchanged(self):
+        # Pool workers keep private table caches: a sweep must not
+        # create (or leave behind) any shared-memory segment.
+        specs = [
+            CellSpec(app_name=app, kind="cash", intervals=20, seed=seed)
+            for app in ("x264", "apache")
+            for seed in (0, 1)
+        ]
+        before = sorted(os.listdir("/dev/shm"))
+        results = run_cells(specs, jobs=2)
+        assert len(results) == len(specs)
+        assert sorted(os.listdir("/dev/shm")) == before
