@@ -20,13 +20,12 @@ def main() -> None:
         f"{'10Mcyc':>7}{'reqs/s':>8}"
         + "".join(f"{name + ' $/h':>24}{'perf':>6}" for name in names)
     )
+    records = {name: run.records for name, run in results.items()}
     for i in range(0, any_run.num_intervals, 8):
-        row = (
-            f"{any_run.records[i].start_cycle / 1e7:>7.0f}"
-            f"{any_run.records[i].request_rate:>8.0f}"
-        )
+        first = records[names[0]][i]
+        row = f"{first.start_cycle / 1e7:>7.0f}{first.request_rate:>8.0f}"
         for name in names:
-            record = results[name].records[i]
+            record = records[name][i]
             row += f"{record.cost_rate:>24.4f}{record.true_qos:>6.2f}"
         print(row)
     print()

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
 from repro.arch.vcore import ConfigurationSpace, VCoreConfig, DEFAULT_CONFIG_SPACE
 from repro.runtime.optimizer import (
@@ -88,9 +89,14 @@ class RaceToIdleAllocator:
         measurement: Optional[object],
         true_points: Sequence[ConfigPoint],
     ) -> Schedule:
-        point = next(
-            (p for p in true_points if p.config == self.config), None
-        )
+        point_of = getattr(true_points, "point_of", None)
+        if perf.FAST and point_of is not None:
+            # First-wins lookup: the point the scan below would find.
+            point = point_of(self.config)
+        else:
+            point = next(
+                (p for p in true_points if p.config == self.config), None
+            )
         if point is None:
             raise ValueError(
                 f"worst-case config {self.config} missing from true points"

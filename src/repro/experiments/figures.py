@@ -84,12 +84,13 @@ def _export_timeseries(
     ]
     rows = []
     series = {name: results[name].normalized_performance_series() for name in names}
+    costs = {name: results[name].cost_rate_series() for name in names}
+    starts = [record.start_cycle for record in any_run.records]
     for i in range(any_run.num_intervals):
-        row = [f"{any_run.records[i].start_cycle / cycle_scale:.3f}"]
+        row = [f"{starts[i] / cycle_scale:.3f}"]
         for name in names:
-            run = results[name]
-            index = min(i, run.num_intervals - 1)
-            row.append(f"{run.records[index].cost_rate:.6f}")
+            index = min(i, results[name].num_intervals - 1)
+            row.append(f"{costs[name][index]:.6f}")
             row.append(f"{series[name][index]:.4f}")
         rows.append(row)
     return _write_rows(path, header, rows)
@@ -115,15 +116,13 @@ def export_fig9(outdir: str, intervals: int = 448) -> List[str]:
         for column in ("cost_rate", "qos")
     ]
     rows = []
+    records = {name: results[name].records for name in names}
     for i in range(any_run.num_intervals):
-        row = [
-            f"{any_run.records[i].start_cycle / 1e7:.2f}",
-            f"{any_run.records[i].request_rate:.0f}",
-        ]
+        first = records[names[0]][i]
+        row = [f"{first.start_cycle / 1e7:.2f}", f"{first.request_rate:.0f}"]
         for name in names:
-            record = results[name].records[i]
-            row.append(f"{record.cost_rate:.6f}")
-            row.append(f"{record.true_qos:.4f}")
+            row.append(f"{records[name][i].cost_rate:.6f}")
+            row.append(f"{records[name][i].true_qos:.4f}")
         rows.append(row)
     return [_write_rows(path, header, rows)]
 

@@ -13,15 +13,35 @@ Cost convention: the paper's "Cost ($)" magnitudes (Table III, Figs. 7
 and 10) correspond to one hour of sustained execution at the measured
 average $/hour rate, so :attr:`RunResult.cost_dollars` is the
 time-weighted mean cost rate × 1 hour.
+
+A run's per-interval trace is kept as columns (:class:`IntervalTrace`),
+not as a list of record objects: sweeps send results between
+processes, and a few flat buffers pickle, transfer and unpickle at a
+small fraction of the cost of a thousand-record object graph.  The
+run-level aggregates read the columns directly; the
+:class:`IntervalRecord` view is decoded only when asked for.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import zlib
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro import perf
 from repro.arch.cost import CostModel, DEFAULT_COST_MODEL
@@ -33,7 +53,7 @@ from repro.runtime.cash import (
     QoSMeasurement,
     RuntimeDecision,
 )
-from repro.runtime.optimizer import ConfigPoint, Schedule
+from repro.runtime.optimizer import ConfigPoint, Schedule, ScheduleEntry
 from repro.sim.optables import OperatingPointTable, operating_point_table
 from repro.sim.perfmodel import PerformanceModel, DEFAULT_PERF_MODEL
 from repro.workloads.phase import Phase, PhasedApplication
@@ -112,26 +132,275 @@ class IntervalRecord:
         return self.schedule.configs()
 
 
+class IntervalTrace:
+    """The per-interval records of one run, stored as columns.
+
+    Scalars sit in typed arrays (floats in ``array('d')``, counters in
+    ``array('q')``, flags in ``bytearray``); phase names and
+    configurations are interned in small tables and referenced by
+    index; schedules become per-leg columns (configuration index or -1
+    for idle, speedup, cost rate, fraction) plus a leg count and a
+    saturation flag per interval.  :meth:`records` decodes records
+    equal to the ones appended.  Pickling ships a single compressed
+    buffer in native byte order (float columns byte-transposed first,
+    which lets the compressor find their shared sign and exponent
+    bytes).
+    """
+
+    _FLOATS = (
+        "start_cycle",
+        "true_qos",
+        "measured_qos",
+        "active_qos",
+        "cost_rate",
+        "cycles",
+        "request_rate",
+    )
+    _LEG_FLOATS = ("leg_speedup", "leg_cost_rate", "leg_fraction")
+    _INTS = (
+        ("index", "q"),
+        ("reconfig_cycles", "q"),
+        ("phase", "i"),
+        ("legs", "i"),
+        ("leg_config", "i"),
+    )
+    _FLAGS = ("violated", "saturated")
+
+    __slots__ = (
+        _FLOATS
+        + _LEG_FLOATS
+        + tuple(name for name, _ in _INTS)
+        + _FLAGS
+        + ("phase_names", "configs", "_phase_ids", "_config_ids")
+    )
+
+    def __init__(
+        self,
+        phase_names: Sequence[str] = (),
+        configs: Sequence[VCoreConfig] = (),
+    ) -> None:
+        for name in self._FLOATS + self._LEG_FLOATS:
+            setattr(self, name, array("d"))
+        for name, code in self._INTS:
+            setattr(self, name, array(code))
+        for name in self._FLAGS:
+            setattr(self, name, bytearray())
+        self.phase_names: List[str] = list(phase_names)
+        self.configs: List[VCoreConfig] = list(configs)
+        self._phase_ids = {name: at for at, name in enumerate(self.phase_names)}
+        self._config_ids = {config: at for at, config in enumerate(self.configs)}
+
+    def append(
+        self,
+        index: int,
+        start_cycle: float,
+        phase_name: str,
+        schedule: Schedule,
+        true_qos: float,
+        measured_qos: float,
+        active_qos: float,
+        cost_rate: float,
+        violated: bool,
+        reconfig_cycles: int,
+        cycles: float = 0.0,
+        request_rate: float = 0.0,
+    ) -> None:
+        """Add one interval (the fields of :class:`IntervalRecord`)."""
+        self.index.append(index)
+        self.start_cycle.append(start_cycle)
+        phase = self._phase_ids.get(phase_name)
+        if phase is None:
+            phase = self._phase_ids[phase_name] = len(self.phase_names)
+            self.phase_names.append(phase_name)
+        self.phase.append(phase)
+        self.true_qos.append(true_qos)
+        self.measured_qos.append(measured_qos)
+        self.active_qos.append(active_qos)
+        self.cost_rate.append(cost_rate)
+        self.violated.append(violated)
+        self.reconfig_cycles.append(reconfig_cycles)
+        self.cycles.append(cycles)
+        self.request_rate.append(request_rate)
+        entries = schedule.entries
+        self.legs.append(len(entries))
+        self.saturated.append(schedule.saturated)
+        config_ids = self._config_ids
+        for entry in entries:
+            point = entry.point
+            config = point.config
+            if config is None:
+                self.leg_config.append(-1)
+            else:
+                at = config_ids.get(config)
+                if at is None:
+                    at = config_ids[config] = len(self.configs)
+                    self.configs.append(config)
+                self.leg_config.append(at)
+            self.leg_speedup.append(point.speedup)
+            self.leg_cost_rate.append(point.cost_rate)
+            self.leg_fraction.append(entry.fraction)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def records(self) -> List[IntervalRecord]:
+        """Decode every interval into an :class:`IntervalRecord`."""
+        configs = self.configs
+        names = self.phase_names
+        leg_config = self.leg_config
+        leg_speedup = self.leg_speedup
+        leg_cost_rate = self.leg_cost_rate
+        leg_fraction = self.leg_fraction
+        records: List[IntervalRecord] = []
+        leg = 0
+        for at in range(len(self.index)):
+            stop = leg + self.legs[at]
+            entries = []
+            for position in range(leg, stop):
+                config_at = leg_config[position]
+                entries.append(
+                    ScheduleEntry(
+                        ConfigPoint(
+                            config=configs[config_at] if config_at >= 0 else None,
+                            speedup=leg_speedup[position],
+                            cost_rate=leg_cost_rate[position],
+                        ),
+                        leg_fraction[position],
+                    )
+                )
+            leg = stop
+            records.append(
+                IntervalRecord(
+                    index=self.index[at],
+                    start_cycle=self.start_cycle[at],
+                    phase_name=names[self.phase[at]],
+                    schedule=Schedule(
+                        entries=tuple(entries),
+                        saturated=bool(self.saturated[at]),
+                    ),
+                    true_qos=self.true_qos[at],
+                    measured_qos=self.measured_qos[at],
+                    active_qos=self.active_qos[at],
+                    cost_rate=self.cost_rate[at],
+                    violated=bool(self.violated[at]),
+                    reconfig_cycles=self.reconfig_cycles[at],
+                    cycles=self.cycles[at],
+                    request_rate=self.request_rate[at],
+                )
+            )
+        return records
+
+    def _columns(self) -> Iterator[object]:
+        for name in self._FLOATS + self._LEG_FLOATS:
+            yield getattr(self, name)
+        for name, _ in self._INTS:
+            yield getattr(self, name)
+        for name in self._FLAGS:
+            yield getattr(self, name)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntervalTrace):
+            return NotImplemented
+        return (
+            self.phase_names == other.phase_names
+            and self.configs == other.configs
+            and all(
+                mine == theirs
+                for mine, theirs in zip(self._columns(), other._columns())
+            )
+        )
+
+    def __reduce__(self) -> tuple:
+        floats = np.concatenate(
+            [
+                np.frombuffer(getattr(self, name), dtype=np.float64)
+                for name in self._FLOATS + self._LEG_FLOATS
+            ]
+        )
+        parts = [floats.view(np.uint8).reshape(-1, 8).T.tobytes()]
+        parts.extend(bytes(getattr(self, name)) for name, _ in self._INTS)
+        parts.extend(bytes(getattr(self, name)) for name in self._FLAGS)
+        payload = zlib.compress(b"".join(parts), 1)
+        return (
+            _unpack_trace,
+            (
+                tuple(self.phase_names),
+                tuple(self.configs),
+                len(self.index),
+                len(self.leg_config),
+                payload,
+            ),
+        )
+
+
+def _unpack_trace(
+    phase_names: Tuple[str, ...],
+    configs: Tuple[VCoreConfig, ...],
+    intervals: int,
+    legs: int,
+    payload: bytes,
+) -> IntervalTrace:
+    """Rebuild an :class:`IntervalTrace` from its pickled buffer."""
+    trace = IntervalTrace(phase_names, configs)
+    data = zlib.decompress(payload)
+    sizes = [intervals] * len(IntervalTrace._FLOATS) + [legs] * len(
+        IntervalTrace._LEG_FLOATS
+    )
+    width = sum(sizes)
+    floats = (
+        np.frombuffer(data, dtype=np.uint8, count=8 * width)
+        .reshape(8, width)
+        .T.copy()
+        .view(np.float64)
+        .ravel()
+    )
+    cursor = 0
+    for name, size in zip(
+        IntervalTrace._FLOATS + IntervalTrace._LEG_FLOATS, sizes
+    ):
+        getattr(trace, name).frombytes(floats[cursor : cursor + size].tobytes())
+        cursor += size
+    offset = 8 * width
+    for name, _ in IntervalTrace._INTS:
+        column = getattr(trace, name)
+        size = (legs if name == "leg_config" else intervals) * column.itemsize
+        column.frombytes(data[offset : offset + size])
+        offset += size
+    for name in IntervalTrace._FLAGS:
+        getattr(trace, name).extend(data[offset : offset + intervals])
+        offset += intervals
+    return trace
+
+
 @dataclass
 class RunResult:
-    """Aggregate outcome of one allocator on one application."""
+    """Aggregate outcome of one allocator on one application.
+
+    The aggregates read the trace's columns with the same left-to-right
+    sums the record view would give; :attr:`records` decodes a fresh
+    list on every read, so read it once outside a loop.
+    """
 
     app_name: str
     allocator_name: str
     qos_goal: float
     interval_cycles: float
-    records: List[IntervalRecord]
+    trace: IntervalTrace
+
+    @property
+    def records(self) -> List[IntervalRecord]:
+        return self.trace.records()
 
     @property
     def num_intervals(self) -> int:
-        return len(self.records)
+        return len(self.trace)
 
     @property
     def mean_cost_rate(self) -> float:
         """Time-weighted average $/hour over the run."""
-        if not self.records:
+        if not len(self.trace):
             return 0.0
-        return sum(r.cost_rate for r in self.records) / len(self.records)
+        return sum(self.trace.cost_rate) / len(self.trace)
 
     @property
     def cost_dollars(self) -> float:
@@ -140,16 +409,16 @@ class RunResult:
 
     @property
     def violation_rate(self) -> float:
-        if not self.records:
+        if not len(self.trace):
             return 0.0
-        return sum(r.violated for r in self.records) / len(self.records)
+        return sum(self.trace.violated) / len(self.trace)
 
     @property
     def violation_percent(self) -> float:
         return 100.0 * self.violation_rate
 
     def cost_rate_series(self) -> List[float]:
-        return [r.cost_rate for r in self.records]
+        return list(self.trace.cost_rate)
 
     def normalized_performance_series(self) -> List[float]:
         """Delivered QoS normalized to the goal, per interval.
@@ -158,12 +427,12 @@ class RunResult:
         matching how Fig. 2 plots race-to-idle above the QoS line.
         """
         return [
-            (r.active_qos if r.active_qos > 0 else r.true_qos) / self.qos_goal
-            for r in self.records
+            (active if active > 0 else true) / self.qos_goal
+            for active, true in zip(self.trace.active_qos, self.trace.true_qos)
         ]
 
     def time_axis_mcycles(self) -> List[float]:
-        return [r.start_cycle / 1e6 for r in self.records]
+        return [start / 1e6 for start in self.trace.start_cycle]
 
 
 class _PhaseWalker:
@@ -348,7 +617,7 @@ class ThroughputSimulator:
             )
         rng = random.Random(self.seed)
         walker = _PhaseWalker(self.app)
-        records: List[IntervalRecord] = []
+        trace = IntervalTrace()
         measurement: Optional[QoSMeasurement] = None
         current_config: Optional[VCoreConfig] = None
         cycle = 0.0
@@ -368,20 +637,18 @@ class ThroughputSimulator:
             measured = self._noisy(true_qos, rng)
             violated = true_qos < self.qos_goal * (1.0 - self.violation_margin)
             if index >= 0:
-                records.append(
-                    IntervalRecord(
-                        index=index,
-                        start_cycle=cycle,
-                        phase_name=phase.name,
-                        schedule=schedule,
-                        true_qos=true_qos,
-                        measured_qos=measured,
-                        active_qos=active_qos,
-                        cost_rate=cost_rate,
-                        violated=violated,
-                        reconfig_cycles=reconfig_cycles,
-                        cycles=actual_cycles,
-                    )
+                trace.append(
+                    index,
+                    cycle,
+                    phase.name,
+                    schedule,
+                    true_qos,
+                    measured,
+                    active_qos,
+                    cost_rate,
+                    violated,
+                    reconfig_cycles,
+                    cycles=actual_cycles,
                 )
                 cycle += actual_cycles
             measurement = QoSMeasurement(
@@ -394,7 +661,7 @@ class ThroughputSimulator:
             allocator_name=allocator.name,
             qos_goal=self.qos_goal,
             interval_cycles=self.interval_cycles,
-            records=records,
+            trace=trace,
         )
 
     def _signature(self, phase: Phase, rng: random.Random) -> Tuple[float, ...]:
@@ -501,6 +768,60 @@ class ThroughputSimulator:
             reconfig_total,
             current_config,
             elapsed,
+        )
+
+
+class _RatePoints:
+    """The latency simulator's ground truth at one request rate, built
+    only where it is read.
+
+    A ``Sequence[ConfigPoint]`` over one phase's (config, capacity,
+    cost rate) entries.  CASH and the convex baseline never read their
+    ``true_points``, race-to-idle looks up one point (:meth:`point_of`)
+    and the oracle iterates them all.  Every point is ``capacity /
+    required``, the division the scalar ``qos_of`` performs.
+    """
+
+    __slots__ = ("_entries", "_index", "_required", "_points")
+
+    def __init__(
+        self,
+        entries: List[Tuple[VCoreConfig, float, float]],
+        index: Dict[VCoreConfig, int],
+        required: float,
+    ) -> None:
+        self._entries = entries
+        self._index = index
+        self._required = required
+        self._points: Optional[List[ConfigPoint]] = None
+
+    def _all(self) -> List[ConfigPoint]:
+        points = self._points
+        if points is None:
+            required = self._required
+            points = self._points = [
+                ConfigPoint(config=config, speedup=capacity / required, cost_rate=rate)
+                for config, capacity, rate in self._entries
+            ]
+        return points
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[ConfigPoint]:
+        return iter(self._all())
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def point_of(self, config: VCoreConfig) -> Optional[ConfigPoint]:
+        """The first point for ``config``, or None if absent."""
+        at = self._index.get(config)
+        if at is None:
+            return None
+        config, capacity, rate = self._entries[at]
+        return ConfigPoint(
+            config=config, speedup=capacity / self._required, cost_rate=rate
         )
 
 
@@ -615,11 +936,13 @@ class LatencySimulator:
         self.violation_margin = violation_margin
         self.seed = seed
         self._cheapest = min(space, key=lambda c: c.cost_rate(cost_model))
-        # Per-phase (config, capacity, cost_rate) triples: the request
-        # rate only scales the capacity margin, so the expensive part of
-        # ``true_points`` is rate-independent and cacheable.
+        # Per-phase (config, capacity, cost_rate) triples and their
+        # first-wins config index: the request rate only scales the
+        # capacity margin, so this part of ``true_points`` is
+        # rate-independent and cacheable.
         self._capacity_cache: Dict[
-            str, List[Tuple[VCoreConfig, float, float]]
+            str,
+            Tuple[List[Tuple[VCoreConfig, float, float]], Dict[VCoreConfig, int]],
         ] = {}
 
     def _ipc_of(self, phase: Phase, config: VCoreConfig) -> float:
@@ -634,18 +957,21 @@ class LatencySimulator:
 
     def _capacity_entries(
         self, phase: Phase
-    ) -> List[Tuple[VCoreConfig, float, float]]:
+    ) -> Tuple[List[Tuple[VCoreConfig, float, float]], Dict[VCoreConfig, int]]:
         cached = self._capacity_cache.get(phase.name)
         if cached is None:
             table = operating_point_table(
                 phase, self.model, self.space, self.cost_model
             )
             per_request = self.app.instructions_per_request
-            cached = [
+            entries = [
                 (point.config, point.speedup / per_request, point.cost_rate)
                 for point in table
             ]
-            self._capacity_cache[phase.name] = cached
+            index: Dict[VCoreConfig, int] = {}
+            for at, (config, _, _) in enumerate(entries):
+                index.setdefault(config, at)
+            cached = self._capacity_cache[phase.name] = (entries, index)
         return cached
 
     def service_capacity(self, phase: Phase, config: VCoreConfig) -> float:
@@ -678,20 +1004,16 @@ class LatencySimulator:
 
     def true_points(
         self, phase: Phase, rate_per_second: float
-    ) -> List[ConfigPoint]:
+    ) -> Sequence[ConfigPoint]:
         if perf.FAST:
             # capacity / required is the same division the scalar
             # ``qos_of`` performs, on the same capacity value, so each
-            # point is bit-identical.
-            required = self.required_capacity(rate_per_second)
-            return [
-                ConfigPoint(
-                    config=config,
-                    speedup=capacity / required,
-                    cost_rate=cost_rate,
-                )
-                for config, capacity, cost_rate in self._capacity_entries(phase)
-            ]
+            # point is bit-identical; a point is built only when an
+            # allocator reads it.
+            entries, index = self._capacity_entries(phase)
+            return _RatePoints(
+                entries, index, self.required_capacity(rate_per_second)
+            )
         return [
             ConfigPoint(
                 config=config,
@@ -706,7 +1028,7 @@ class LatencySimulator:
             raise ValueError(f"intervals must be positive, got {intervals}")
         rng = random.Random(self.seed)
         walker = _PhaseWalker(self.app)
-        records: List[IntervalRecord] = []
+        trace = IntervalTrace()
         measurement: Optional[QoSMeasurement] = None
         current_config: Optional[VCoreConfig] = None
         cycle = 0.0
@@ -775,20 +1097,18 @@ class LatencySimulator:
             walker.offset += instructions
             measured = self._noisy(total_qos, rng)
             violated = total_qos < 1.0 - self.violation_margin
-            records.append(
-                IntervalRecord(
-                    index=index,
-                    start_cycle=cycle,
-                    phase_name=phase.name,
-                    schedule=schedule,
-                    true_qos=total_qos,
-                    measured_qos=measured,
-                    active_qos=total_qos,
-                    cost_rate=cost_rate,
-                    violated=violated,
-                    reconfig_cycles=reconfig_total,
-                    request_rate=rate,
-                )
+            trace.append(
+                index,
+                cycle,
+                phase.name,
+                schedule,
+                total_qos,
+                measured,
+                total_qos,
+                cost_rate,
+                violated,
+                reconfig_total,
+                request_rate=rate,
             )
             measurement = QoSMeasurement(
                 overall_qos=measured,
@@ -805,7 +1125,7 @@ class LatencySimulator:
             allocator_name=allocator.name,
             qos_goal=1.0,
             interval_cycles=self.interval_cycles,
-            records=records,
+            trace=trace,
         )
 
     def _noisy(self, value: float, rng: random.Random) -> float:

@@ -180,10 +180,11 @@ def timeseries_table(
         f"{'Mcycles':>8}"
         + "".join(f"{name + ' $/h':>22}{name + ' perf':>12}" for name in names)
     ]
+    cost_series = {name: results[name].cost_rate_series() for name in names}
+    starts = any_run.time_axis_mcycles()
     for i in range(0, any_run.num_intervals, stride):
-        row = f"{any_run.records[i].start_cycle / 1e6:>8.0f}"
+        row = f"{starts[i]:>8.0f}"
         for name in names:
-            record = results[name].records[i]
-            row += f"{record.cost_rate:>22.4f}{perf_series[name][i]:>12.2f}"
+            row += f"{cost_series[name][i]:>22.4f}{perf_series[name][i]:>12.2f}"
         lines.append(row)
     return "\n".join(lines)

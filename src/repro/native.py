@@ -1,4 +1,5 @@
-"""Optional compiled core for the cycle tier and its trace decoder.
+"""Optional compiled core for the cycle tier, its trace decoder and the
+CASH runtime's lower hull.
 
 Two hot loops in the cycle tier are pure interpreter overhead: the
 struct-of-arrays batch kernel (:mod:`repro.sim.batchpipe`), one event
@@ -6,11 +7,13 @@ epoch per cell per step, and the trace decoder
 (:meth:`repro.sim.trace.TraceGenerator.generate_arrays`), a handful of
 Mersenne Twister draws per micro-op.  This module compiles
 ``sim/_batchcore.c`` on demand with the host C compiler and loads it
-through :mod:`ctypes`; :class:`NativeBatchCore` binds its two entry
-points, ``repro_run_batch`` and ``repro_decode_trace``.  It follows the
+through :mod:`ctypes`; :class:`NativeBatchCore` binds its three entry
+points, ``repro_run_batch``, ``repro_decode_trace`` and
+``repro_lower_hull``.  It follows the
 shape ROADMAP cites from ``subhft``'s ``rust_core``: an *optional*
 accelerated core behind a pure-Python contract, with the Python paths
-(the object pipeline, the scalar trace generator) retained as the
+(the object pipeline, the scalar trace generator, the Python monotone
+chain) retained as the
 always-runnable twins and bit-identity asserted in tests.  Nothing is
 installed: if no compiler is present (or ``REPRO_NATIVE`` disables the
 core) every caller falls back to the pure-Python path.
@@ -24,8 +27,8 @@ rule:
 * ``REPRO_NATIVE_DIR=<path>`` overrides where the shared object is
   built (default: a per-user directory under the system temp root).
 
-The switch can never change a result — both entry points are
-bit-identical to their Python twins (enforced by the `fast-parity`
+The switch can never change a result — every entry point is
+bit-identical to its Python twin (enforced by the `fast-parity`
 twin tests) — it only selects how fast the cycle tier runs.  Build
 artifacts are keyed by a content hash of the C source, compiler
 identity and flags, written via temp-file + atomic rename, so
@@ -41,6 +44,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from array import array
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -131,9 +135,10 @@ def _addresses(
 
 
 class NativeBatchCore:
-    """ctypes wrapper around the compiled kernel's two entry points:
-    ``repro_run_batch`` (the lockstep cycle tier) and
-    ``repro_decode_trace`` (the trace decoder)."""
+    """ctypes wrapper around the compiled kernel's entry points:
+    ``repro_run_batch`` (the lockstep cycle tier),
+    ``repro_decode_trace`` (the trace decoder) and
+    ``repro_lower_hull`` (the runtime's monotone chain)."""
 
     def __init__(self, library: ctypes.CDLL, path: Path) -> None:
         self.path = path
@@ -147,6 +152,9 @@ class NativeBatchCore:
         self._decode.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * len(
             _DECODE_TRACE_BUFFERS
         )
+        self._hull = library.repro_lower_hull
+        self._hull.restype = ctypes.c_int64
+        self._hull.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
 
     def run_batch(
         self, n_cells: int, max_slices: int, prod_width: int, *buffers: np.ndarray
@@ -164,6 +172,17 @@ class NativeBatchCore:
         when they ran out."""
         addresses = _addresses(_DECODE_TRACE_BUFFERS, buffers)
         return int(self._decode(count, buffers[0].shape[0], *addresses))
+
+    def lower_hull(self, xy: "array[float]") -> "array[int]":
+        """Indices of the lower-hull points of the sorted, distinct
+        points ``xy`` (flat x, y pairs in an ``array('d')``), exactly as
+        :func:`repro.runtime.optimizer._lower_hull_presorted` keeps
+        them."""
+        count = len(xy) // 2
+        out = array("q", bytes(8 * count))
+        kept = self._hull(count, xy.buffer_info()[0], out.buffer_info()[0])
+        del out[kept:]
+        return out
 
 
 def _find_compiler() -> Optional[str]:

@@ -290,7 +290,7 @@ class CASHRuntime:
             def fallback(target: float) -> Schedule:
                 return self.optimizer.schedule_points(points, target)
 
-            believed_max = self.learner.max_qos_estimate()
+            believed_max = points.max_qos()
         else:
             # Reference path: the seed's work profile — fresh estimate
             # dicts, point lists and hulls on every solve.
@@ -410,8 +410,10 @@ class CASHRuntime:
         # clamp never drops below the goal itself: if the whole table
         # is (wrongly) pessimistic, the unmet goal is exactly the
         # pressure that keeps the saturation probes searching.
+        # Under FAST the refreshed point view already holds its keys in
+        # sorted order; the reference rescans every estimate.
         max_qhat = (
-            self.learner.max_qos_estimate()
+            self.learned_points.max_qos()
             if perf.FAST
             else max(self.learner.qos_estimates().values())
         )

@@ -25,12 +25,14 @@ envelope (:func:`lower_envelope_cost`), which the oracle uses with
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import perf
+from repro import native, perf
 from repro.arch.vcore import VCoreConfig
 
 
@@ -329,14 +331,19 @@ class LearnedPoints:
         # monotone chain, not a fresh dict + sort per step.
         self._key_positions: Dict[Tuple[float, float], List[int]] = {}
         self._keys_sorted: List[Tuple[float, float]] = []
+        # ``_keys_sorted`` as flat x, y pairs for the compiled chain,
+        # built on the first compiled envelope and patched alongside.
+        self._flat_keys: Optional[array] = None
 
     def __getstate__(self) -> Dict[str, object]:
         # The envelope cache holds read-only ``MappingProxyType`` views,
         # which cannot pickle (service checkpoints snapshot runtimes).
-        # It is a pure function of the point list, so dropping it only
-        # costs a rebuild on the next solve — same hull, bit for bit.
+        # It and the flat key copy are pure functions of the point
+        # list, so dropping them only costs a rebuild on the next solve
+        # — same hull, bit for bit.
         state = dict(self.__dict__)
         state["_envelopes"] = {}
+        state["_flat_keys"] = None
         return state
 
     def _rebuild_all(self) -> None:
@@ -356,6 +363,7 @@ class LearnedPoints:
             ).append(position)
         self._key_positions = positions
         self._keys_sorted = sorted(positions)
+        self._flat_keys = None
 
     def _apply_change(self, position: int, new_point: ConfigPoint) -> None:
         old_point = self._points[position]
@@ -366,14 +374,20 @@ class LearnedPoints:
             return
         holders = self._key_positions[old_key]
         holders.remove(position)
+        flat = self._flat_keys
         if not holders:
             del self._key_positions[old_key]
             index = bisect_left(self._keys_sorted, old_key)
             del self._keys_sorted[index]
+            if flat is not None:
+                del flat[2 * index : 2 * index + 2]
         existing = self._key_positions.get(new_key)
         if existing is None:
             self._key_positions[new_key] = [position]
-            insort(self._keys_sorted, new_key)
+            index = bisect_left(self._keys_sorted, new_key)
+            self._keys_sorted.insert(index, new_key)
+            if flat is not None:
+                flat[2 * index : 2 * index] = array("d", new_key)
         else:
             existing.append(position)
 
@@ -414,6 +428,16 @@ class LearnedPoints:
         self._refresh()
         return self._points
 
+    def max_qos(self) -> float:
+        """max_k q̂_k: the largest key of the refreshed sorted list.
+
+        Keys sort by speedup first, so this is the same float the
+        learner's :meth:`~repro.runtime.qlearning.SpeedupLearner.max_qos_estimate`
+        finds by scanning every estimate.
+        """
+        self._refresh()
+        return self._keys_sorted[-1][0]
+
     def __len__(self) -> int:
         return len(self._configs)
 
@@ -430,19 +454,39 @@ class LearnedPoints:
         maintained sorted key list — the same input (and so the same
         hull) :func:`compute_envelope` derives from scratch — and
         resolves first-wins owners for hull vertices only (the solver
-        never looks up points off the hull).
+        never looks up points off the hull).  Under FAST the chain runs
+        in the compiled kernel when it loads (the same comparisons in
+        the same order, :func:`_lower_hull_presorted` is its twin), over
+        a flat copy of the keys patched alongside the sorted list.
         """
         self._refresh()
         cache_key = (idle.config, idle.speedup, idle.cost_rate)
         cached = self._envelopes.get(cache_key)
         if cached is None:
             idle_key = (idle.speedup, idle.cost_rate)
+            idle_at: Optional[int] = None
             if idle_key in self._key_positions:
                 keys: Sequence[Tuple[float, float]] = self._keys_sorted
             else:
+                idle_at = bisect_left(self._keys_sorted, idle_key)
                 keys = list(self._keys_sorted)
-                insort(keys, idle_key)
-            hull = _lower_hull_presorted(keys)
+                keys.insert(idle_at, idle_key)
+            core = native.batch_core() if perf.FAST else None
+            if core is not None:
+                flat = self._flat_keys
+                if flat is None:
+                    flat = self._flat_keys = array(
+                        "d", chain.from_iterable(self._keys_sorted)
+                    )
+                if idle_at is not None:
+                    flat = (
+                        flat[: 2 * idle_at]
+                        + array("d", idle_key)
+                        + flat[2 * idle_at :]
+                    )
+                hull = [keys[index] for index in core.lower_hull(flat)]
+            else:
+                hull = _lower_hull_presorted(keys)
             best_at: Dict[Tuple[float, float], ConfigPoint] = {}
             for vertex in hull:
                 holders = self._key_positions.get(vertex)

@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro import perf
 from repro.arch.vcore import VCoreConfig
 
 
@@ -95,7 +94,6 @@ class SpeedupLearner:
         self._version = 0
         self._change_log: List[Optional[VCoreConfig]] = []
         self._log_base = 0
-        self._max_qos_cache: Optional[Tuple[int, float]] = None
 
     CHANGE_LOG_LIMIT = 256
     """Retained change-log entries before old deltas degrade to full
@@ -105,7 +103,6 @@ class SpeedupLearner:
         """Note that ``config``'s estimate moved (None = all of them)."""
         self._version += 1
         self._change_log.append(config)
-        self._max_qos_cache = None
         overflow = len(self._change_log) - self.CHANGE_LOG_LIMIT
         if overflow > 0:
             del self._change_log[:overflow]
@@ -142,14 +139,12 @@ class SpeedupLearner:
         self._record_change(None)
 
     def max_qos_estimate(self) -> float:
-        """max_k q̂_k, cached against the estimates version."""
-        if perf.FAST:
-            cached = self._max_qos_cache
-            if cached is not None and cached[0] == self._version:
-                return cached[1]
-        value = max(estimate.qos for estimate in self._estimates.values())
-        self._max_qos_cache = (self._version, value)
-        return value
+        """max_k q̂_k, by a scan of every estimate.
+
+        The runtime's FAST path reads the same float from its
+        :class:`~repro.runtime.optimizer.LearnedPoints` view instead.
+        """
+        return max(estimate.qos for estimate in self._estimates.values())
 
     @property
     def configs(self) -> List[VCoreConfig]:

@@ -1,5 +1,6 @@
-/* Compiled core for the cycle-accurate tier.  Two exported entry
- * points, loaded through ctypes by repro.native:
+/* Compiled core for the cycle-accurate tier and the CASH runtime's
+ * lower hull.  Three exported entry points, loaded through ctypes by
+ * repro.native:
  *
  *   - repro_run_batch advances many independent pipeline cells in
  *     lockstep: every iteration of the outer loop steps each
@@ -7,10 +8,12 @@
  *     "event epoch" -- the idle cycles in between are skipped exactly
  *     as in the Python event-driven engine), with finished cells
  *     dropped from the active list;
- *   - repro_decode_trace (at the end of this file) decodes a synthetic
- *     micro-op trace from raw Mersenne Twister words, draw for draw as
+ *   - repro_decode_trace decodes a synthetic micro-op trace from raw
+ *     Mersenne Twister words, draw for draw as
  *     repro.sim.trace.TraceGenerator._generate_reference consumes
- *     them from random.Random.
+ *     them from random.Random;
+ *   - repro_lower_hull (at the end of this file) runs the monotone
+ *     chain of repro.runtime.optimizer._lower_hull_presorted.
  *
  * The batch algorithm is a field-for-field port of
  * repro.sim.pipeline.MultiSlicePipeline._run_event_driven plus the
@@ -36,11 +39,12 @@
  * repro.sim.batchpipe from TraceArrays (see repro.sim.soa); -1 is the
  * None sentinel throughout.
  *
- * The decoder is the only floating-point code here: it builds each
- * random() double exactly from integer words and only compares it
- * against rates computed in Python.  repro.native also compiles with
- * -ffp-contract=off, so no multiply-add is ever fused and the
- * comparisons see CPython's doubles bit for bit by construction.
+ * The decoder builds each random() double exactly from integer words
+ * and only compares it against rates computed in Python; the hull
+ * evaluates the same cross product as the Python chain, operation for
+ * operation.  repro.native compiles with -ffp-contract=off, so no
+ * multiply-add is ever fused and both see CPython's doubles bit for
+ * bit by construction.
  */
 
 #include <stdint.h>
@@ -1252,4 +1256,29 @@ int64_t repro_decode_trace(
     state[G_HOT_LEN] = hot_len;
     state[G_FIRST_SEEN] = n_seen;
     return s.cur;
+}
+
+/* Lower convex hull of n points, sorted and distinct, given as x, y
+ * pairs in xy: Andrew's monotone chain exactly as
+ * repro.runtime.optimizer._lower_hull_presorted runs it -- the same
+ * cross products, in the same order, popping on cross <= 0 (a NaN
+ * cross keeps the point, as the Python comparison does).  Writes the
+ * hull's point indices to out (room for n) and returns their count. */
+int64_t repro_lower_hull(int64_t n, const double *xy, int64_t *out) {
+    int64_t i, size = 0;
+    for (i = 0; i < n; i++) {
+        double px = xy[2 * i], py = xy[2 * i + 1];
+        while (size >= 2) {
+            const double *a = xy + 2 * out[size - 2];
+            const double *b = xy + 2 * out[size - 1];
+            double cross = (b[0] - a[0]) * (py - a[1])
+                - (b[1] - a[1]) * (px - a[0]);
+            if (cross <= 0)
+                size--;
+            else
+                break;
+        }
+        out[size++] = i;
+    }
+    return size;
 }

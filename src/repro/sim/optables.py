@@ -48,11 +48,19 @@ class OperatingPointTable:
 
     Behaves as a ``Sequence[ConfigPoint]`` (the harness hands it to
     allocators as ``true_points``), and additionally offers O(1) IPC
-    lookup by configuration, the table's maximum QoS, and a cached
-    lower convex envelope keyed by the idle point.
+    and point lookup by configuration, the table's maximum QoS, and a
+    cached lower convex envelope keyed by the idle point.
     """
 
-    __slots__ = ("points", "_ipc", "max_qos", "speedup_array", "_envelopes", "_sealed")
+    __slots__ = (
+        "points",
+        "_ipc",
+        "_point_of",
+        "max_qos",
+        "speedup_array",
+        "_envelopes",
+        "_sealed",
+    )
 
     def __init__(self, points: Tuple[ConfigPoint, ...]) -> None:
         if not points:
@@ -61,6 +69,11 @@ class OperatingPointTable:
         self._ipc: Mapping[VCoreConfig, float] = {
             point.config: point.speedup for point in self.points
         }
+        # First point wins, as in a front-to-back scan of ``points``.
+        point_of: Dict[Optional[VCoreConfig], ConfigPoint] = {}
+        for point in self.points:
+            point_of.setdefault(point.config, point)
+        self._point_of: Mapping[Optional[VCoreConfig], ConfigPoint] = point_of
         self.speedup_array: np.ndarray = np.array(
             [point.speedup for point in self.points], dtype=np.float64
         )
@@ -82,6 +95,10 @@ class OperatingPointTable:
     def get_ipc(self, config: VCoreConfig) -> Optional[float]:
         """The table's QoS (IPC) for ``config``, or None if absent."""
         return self._ipc.get(config)
+
+    def point_of(self, config: VCoreConfig) -> Optional[ConfigPoint]:
+        """The first point for ``config``, or None if absent."""
+        return self._point_of.get(config)
 
     def envelope(self, idle: ConfigPoint = IDLE_POINT) -> tuple:
         """Cached ``(hull, best_at)`` lower envelope for this table.
@@ -109,14 +126,16 @@ class OperatingPointTable:
     def seal(self) -> "OperatingPointTable":
         """Freeze the table for publication into a shared cache.
 
-        Marks the speedup ndarray read-only and replaces the IPC map
-        with a ``MappingProxyType`` view, so any later in-place write
-        through a cached table raises instead of silently corrupting
-        every other consumer.  Idempotent; returns ``self``.
+        Marks the speedup ndarray read-only and replaces the IPC and
+        point maps with ``MappingProxyType`` views, so any later
+        in-place write through a cached table raises instead of
+        silently corrupting every other consumer.  Idempotent; returns
+        ``self``.
         """
         if not self._sealed:
             self.speedup_array.setflags(write=False)
             self._ipc = MappingProxyType(dict(self._ipc))
+            self._point_of = MappingProxyType(dict(self._point_of))
             self._sealed = True
         return self
 
@@ -218,6 +237,10 @@ def _verify_published(table: OperatingPointTable, site: str) -> None:
     if not isinstance(table._ipc, MappingProxyType):
         sanitize.violation(
             "cache-publish", owner, site, "table IPC map is a bare dict"
+        )
+    if not isinstance(table._point_of, MappingProxyType):
+        sanitize.violation(
+            "cache-publish", owner, site, "table point map is a bare dict"
         )
 
 

@@ -182,6 +182,26 @@ class TestCheckpoint:
         assert straight.defragmentations > 0
         assert resumed == straight
 
+    def test_derived_hull_state_stays_out_of_payload(self):
+        with perf.fast_paths(True):
+            straight = build_engine().run()
+            engine = build_engine()
+            engine.run(until=60)
+            views = [
+                resident.allocator.runtime.learned_points
+                for resident in engine._residents.values()
+                if hasattr(resident.allocator, "runtime")
+            ]
+            # Many envelopes in: each view keeps a patched flat key copy
+            # for the compiled chain (when the kernel loads), derived
+            # state that must not travel in the checkpoint.
+            assert views
+            for view in views:
+                state = view.__getstate__()
+                assert state["_flat_keys"] is None and state["_envelopes"] == {}
+            resumed = ServiceEngine.restore(engine.checkpoint()).run()
+        assert resumed == straight
+
     def test_restore_does_not_disturb_original(self):
         with perf.fast_paths(True):
             engine = build_engine()

@@ -9,11 +9,13 @@ envelope — with a from-scratch rebuild through the seed code path.
 """
 
 import random
+from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import perf
+from repro import native, perf
 from repro.arch.cost import DEFAULT_COST_MODEL
 from repro.arch.vcore import VCoreConfig
 from repro.runtime.optimizer import (
@@ -21,6 +23,7 @@ from repro.runtime.optimizer import (
     IDLE_POINT,
     LearningOptimizer,
     _lower_hull,
+    _lower_hull_presorted,
     compute_envelope,
     lower_envelope_cost,
 )
@@ -160,6 +163,136 @@ class TestIncrementalEnvelope:
         assert view.envelope(IDLE_POINT) is view.envelope(IDLE_POINT)
         learner.observe(CONFIGS[3], 2.8)
         assert_view_matches_scratch(view, learner)
+
+
+# Integer-grid keys make duplicate keys, collinear runs and ties at
+# both ends of the sorted list common; the zero-cost configuration
+# observed at zero QoS puts a point on the idle key itself.
+GRID_CONFIGS = [VCoreConfig(slices, 64 * banks) for slices in (1, 2, 4) for banks in (1, 2, 4, 8)]
+GRID_COSTS = [0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 6.0, 6.0]
+OTHER_IDLE = ConfigPoint(config=None, speedup=0.0, cost_rate=0.5)
+
+GRID_ACTIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["observe", "observe", "observe", "rescale", "phase", "recall"]),
+        st.integers(0, len(GRID_CONFIGS) - 1),
+        st.integers(0, 6),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def apply_grid_action(learner, action):
+    kind, config_index, value, _ = action
+    if kind == "observe":
+        learner.observe(GRID_CONFIGS[config_index], float(value))
+    elif kind == "rescale":
+        learner.rescale_on_phase_change(2.0 if value % 2 else 0.5)
+    elif kind == "phase":
+        learner.on_phase_change(1.0, 1.0 + value, signature=(float(value),))
+    else:
+        learner.on_phase_change(1.0 + value, 1.0, signature=(1.0,))
+
+
+def assert_envelope_matches_scalar(view, idle):
+    hull, best_at = view.envelope(idle)
+    fresh_hull, fresh_best = compute_envelope(view.points(), idle)
+    assert hull == tuple(fresh_hull)
+    assert dict(best_at) == {vertex: fresh_best[vertex] for vertex in hull}
+
+
+class TestEnvelopeOnGrid:
+    """The incrementally kept envelope against a scratch build, on
+    keys full of duplicates, collinear runs and ties."""
+
+    @given(actions=GRID_ACTIONS)
+    @settings(max_examples=150, deadline=None)
+    def test_envelope_matches_scratch(self, actions):
+        learner = SpeedupLearner(
+            configs=GRID_CONFIGS, base_config=GRID_CONFIGS[0], base_qos=1.0
+        )
+        view = LearningOptimizer(
+            configs=GRID_CONFIGS, cost_rates=GRID_COSTS
+        ).learned_points(learner)
+        for action in actions:
+            apply_grid_action(learner, action)
+            # Mostly the runtime's idle; now and then another one.
+            idle = OTHER_IDLE if action[3] and action[2] == 3 else IDLE_POINT
+            assert_envelope_matches_scalar(view, idle)
+
+    def test_idle_present_and_absent(self):
+        learner = SpeedupLearner(
+            configs=GRID_CONFIGS, base_config=GRID_CONFIGS[0], base_qos=1.0
+        )
+        view = LearningOptimizer(
+            configs=GRID_CONFIGS, cost_rates=GRID_COSTS
+        ).learned_points(learner)
+        assert_envelope_matches_scalar(view, IDLE_POINT)
+        learner.observe(GRID_CONFIGS[0], 0.0)  # a point on the idle key
+        view.points()
+        assert (0.0, 0.0) in view._key_positions
+        hull, best_at = view.envelope(IDLE_POINT)
+        assert best_at[(0.0, 0.0)].config == GRID_CONFIGS[0]
+        assert_envelope_matches_scalar(view, IDLE_POINT)
+        learner.observe(GRID_CONFIGS[0], 3.0)  # and off it again
+        view.points()
+        assert (0.0, 0.0) not in view._key_positions
+        assert_envelope_matches_scalar(view, IDLE_POINT)
+
+
+def compiled_core():
+    core = native.batch_core()
+    if core is None:
+        pytest.skip(f"native core unavailable: {native.batch_core_error()}")
+    return core
+
+
+COORDINATES = st.one_of(
+    st.integers(0, 6).map(float),
+    st.floats(0.0, 8.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-308, 1.0 / 3.0, 2.0 / 3.0, 1e300]),
+)
+
+
+class TestCompiledChain:
+    """Under FAST the envelope's chain runs in the compiled kernel; it
+    keeps exactly the keys ``_lower_hull_presorted`` keeps."""
+
+    @given(points=st.lists(st.tuples(COORDINATES, COORDINATES), max_size=70))
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_chain_matches_python(self, points):
+        core = compiled_core()
+        keys = sorted(set(points))
+        flat = array("d", chain.from_iterable(keys))
+        assert [keys[at] for at in core.lower_hull(flat)] == _lower_hull_presorted(keys)
+
+    @given(actions=GRID_ACTIONS)
+    @settings(max_examples=60, deadline=None)
+    def test_envelope_identical_with_and_without_the_kernel(self, actions):
+        compiled_core()
+
+        def envelopes(flag):
+            native.set_native_enabled(flag)
+            try:
+                learner = SpeedupLearner(
+                    configs=GRID_CONFIGS, base_config=GRID_CONFIGS[0], base_qos=1.0
+                )
+                view = LearningOptimizer(
+                    configs=GRID_CONFIGS, cost_rates=GRID_COSTS
+                ).learned_points(learner)
+                seen = []
+                for action in actions:
+                    apply_grid_action(learner, action)
+                    for idle in (IDLE_POINT, OTHER_IDLE):
+                        hull, best_at = view.envelope(idle)
+                        seen.append((hull, dict(best_at)))
+                return seen
+            finally:
+                native.set_native_enabled(True)
+
+        assert envelopes(True) == envelopes(False)
 
 
 class TestLearnerChangeTracking:
